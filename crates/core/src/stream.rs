@@ -52,6 +52,47 @@ impl Default for EarlyExit {
     }
 }
 
+impl EarlyExit {
+    /// One early-exit update after a chunk — the whole rule, shared by
+    /// in-process and served streams.
+    ///
+    /// `least_frames` is the fewest logit frames any recogniser has
+    /// decoded after this chunk, and `running` yields the `(target,
+    /// auxiliaries)` running transcripts after the *same* chunk; it is
+    /// only called once the `min_frames` gate passes. `collapsed` counts
+    /// consecutive collapsed updates and belongs to the caller's stream.
+    /// Returns the early `Adversarial` detection once the horizon is met.
+    pub fn update(
+        &self,
+        system: &DetectionSystem,
+        collapsed: &mut usize,
+        least_frames: usize,
+        running: impl FnOnce() -> (String, Vec<String>),
+    ) -> Option<Detection> {
+        // Gate on the *least* decoded stream, not the target: a heavily
+        // subsampling auxiliary (or a precision variant that lags) with
+        // near-empty running transcripts would otherwise read as a
+        // similarity collapse and fire a premature verdict.
+        if least_frames < self.min_frames {
+            return None;
+        }
+        let (target, auxiliaries) = running();
+        let scores = system.scores_from_transcripts(&target, &auxiliaries);
+        let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
+        let collapse = mean < self.threshold - self.margin && system.classify_scores(&scores);
+        *collapsed = if collapse { *collapsed + 1 } else { 0 };
+        (*collapsed >= self.horizon.max(1)).then(|| Detection {
+            is_adversarial: true,
+            scores,
+            target_transcription: target,
+            auxiliary_transcriptions: auxiliaries,
+            modality_features: Vec::new(),
+            fused: false,
+            early_exit: true,
+        })
+    }
+}
+
 /// Incremental verdict state over one audio stream.
 ///
 /// Obtain with [`DetectionSystem::stream_begin`], feed with
@@ -126,41 +167,17 @@ impl DetectionStream {
 
     /// One early-exit evaluation over the running transcripts.
     fn evaluate(&mut self, system: &DetectionSystem, rule: EarlyExit) {
-        // Gate on the *least* decoded stream, not the target: a heavily
-        // subsampling auxiliary (or a precision variant that lags) with
-        // near-empty running transcripts would otherwise read as a
-        // similarity collapse and fire a premature verdict.
         let least = self.streams.iter().map(AsrStream::frames_decoded).min().unwrap_or(0);
-        if least < rule.min_frames {
-            return;
-        }
-        let (target, auxiliaries, scores) = self.running(system);
-        let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
-        let collapsed = mean < rule.threshold - rule.margin && system.classify_scores(&scores);
-        self.collapsed = if collapsed { self.collapsed + 1 } else { 0 };
-        if self.collapsed >= rule.horizon.max(1) {
-            self.verdict = Some(Detection {
-                is_adversarial: true,
-                scores,
-                target_transcription: target,
-                auxiliary_transcriptions: auxiliaries,
-                modality_features: Vec::new(),
-                fused: false,
-                early_exit: true,
-            });
-        }
+        self.verdict = rule.update(system, &mut self.collapsed, least, || {
+            DetectionSystem::split_transcripts(transcripts(system, &self.streams))
+        });
     }
 
     /// The running `(target transcript, auxiliary transcripts, scores)` of
     /// the frames decoded so far.
     pub fn running(&self, system: &DetectionSystem) -> (String, Vec<String>, Vec<f64>) {
-        let recognizers = system.recognizers();
-        let target = recognizers[0].stream_transcript(&self.streams[0]);
-        let auxiliaries: Vec<String> = recognizers[1..]
-            .iter()
-            .zip(&self.streams[1..])
-            .map(|(asr, stream)| asr.stream_transcript(stream))
-            .collect();
+        let (target, auxiliaries) =
+            DetectionSystem::split_transcripts(transcripts(system, &self.streams));
         let scores = system.scores_from_transcripts(&target, &auxiliaries);
         (target, auxiliaries, scores)
     }
@@ -203,6 +220,12 @@ impl DetectionStream {
         self.n_samples = 0;
         system.detect_from_transcripts(target, auxiliaries)
     }
+}
+
+/// Every recogniser's running transcript, target first.
+fn transcripts(system: &DetectionSystem, streams: &[AsrStream]) -> Vec<String> {
+    let recognizers = system.recognizers();
+    recognizers.iter().zip(streams).map(|(asr, s)| asr.stream_transcript(s)).collect()
 }
 
 #[cfg(test)]

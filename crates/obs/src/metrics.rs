@@ -178,19 +178,26 @@ impl Histogram {
     /// bucket containing the quantile rank, i.e. within 25% of the true
     /// value. Returns 0 when empty.
     pub fn quantile_micros(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
+        Histogram::bucket_quantile(&self.buckets(), q)
+    }
+
+    /// Every bucket's count, in bucket order. The bucket edges are fixed,
+    /// so adding two such vectors element-wise merges histograms exactly.
+    pub fn buckets(&self) -> Vec<u64> {
+        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+    }
+
+    /// [`quantile_micros`](Self::quantile_micros) over bucket counts as
+    /// [`buckets`](Self::buckets) returns them (or a sum of several).
+    pub fn bucket_quantile(buckets: &[u64], q: f64) -> u64 {
+        let n: u64 = buckets.iter().sum();
+        let rank = ((q * n as f64).ceil() as u64).clamp(1, n.max(1));
         let mut seen = 0u64;
-        for (i, bucket) in self.0.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper_edge(i);
-            }
-        }
-        self.max_micros()
+        let at_rank = buckets.iter().position(|&count| {
+            seen += count;
+            seen >= rank
+        });
+        at_rank.map_or(0, bucket_upper_edge)
     }
 }
 

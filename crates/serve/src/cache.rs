@@ -15,28 +15,16 @@ use mvp_audio::Waveform;
 
 /// A fixed-capacity least-recently-used map.
 ///
-/// O(1) amortised get/insert via a `HashMap` into an intrusive
-/// doubly-linked recency list over a slab of entries.
+/// Every entry carries the tick of its last use, so a hit is one `HashMap`
+/// probe. An insert into a full cache evicts the entry with the oldest
+/// tick by a linear scan: O(capacity), paid only on a cache miss, which
+/// already costs a full transcription.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
-    slab: Vec<Option<Entry<K, V>>>,
-    /// Most recently used entry, or `NIL`.
-    head: usize,
-    /// Least recently used entry, or `NIL`.
-    tail: usize,
-    free: Vec<usize>,
+    map: HashMap<K, (V, u64)>,
+    /// Bumped on every access; larger = more recently used.
+    tick: u64,
     capacity: usize,
-}
-
-const NIL: usize = usize::MAX;
-
-#[derive(Debug)]
-struct Entry<K, V> {
-    key: K,
-    value: V,
-    prev: usize,
-    next: usize,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -48,14 +36,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// disabled cache).
     pub fn new(capacity: usize) -> LruCache<K, V> {
         assert!(capacity > 0, "LRU capacity must be positive");
-        LruCache {
-            map: HashMap::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
-            capacity,
-        }
+        LruCache { map: HashMap::with_capacity(capacity), tick: 0, capacity }
     }
 
     /// The configured capacity.
@@ -75,128 +56,34 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Looks up `key`, marking it most recently used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        let idx = *self.map.get(key)?;
-        self.detach(idx);
-        self.attach_front(idx);
-        self.slab[idx].as_ref().map(|e| &e.value)
+        let (value, used) = self.map.get_mut(key)?;
+        self.tick += 1;
+        *used = self.tick;
+        Some(value)
     }
 
     /// Looks up `key` *without* touching recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).and_then(|&idx| self.slab[idx].as_ref()).map(|e| &e.value)
+        self.map.get(key).map(|(value, _)| value)
     }
 
     /// Inserts (or replaces) `key`, marking it most recently used and
     /// evicting the least recently used entry if over capacity. Returns
     /// the evicted `(key, value)` pair, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if let Some(&idx) = self.map.get(&key) {
-            self.occupied_mut(idx).value = value;
-            self.detach(idx);
-            self.attach_front(idx);
-            return None;
-        }
-        let evicted = if self.map.len() == self.capacity {
-            let lru = self.tail;
-            self.detach(lru);
-            let entry = self.take_entry(lru);
-            self.map.remove(&entry.key);
-            self.free.push(lru);
-            Some((entry.key, entry.value))
-        } else {
-            None
-        };
-        let entry = Entry { key: key.clone(), value, prev: NIL, next: NIL };
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Some(entry);
-                slot
-            }
-            None => {
-                self.slab.push(Some(entry));
-                self.slab.len() - 1
-            }
-        };
-        self.map.insert(key, idx);
-        self.attach_front(idx);
-        evicted
+        let full = self.map.len() == self.capacity && !self.map.contains_key(&key);
+        let lru = full.then(|| self.map.iter().min_by_key(|(_, (_, used))| *used)).flatten();
+        let evicted = lru.map(|(k, _)| k.clone()).and_then(|k| self.map.remove_entry(&k));
+        self.tick += 1;
+        self.map.insert(key, (value, self.tick));
+        evicted.map(|(k, (v, _))| (k, v))
     }
 
     /// Keys from most to least recently used (test/diagnostic helper).
     pub fn keys_by_recency(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut idx = self.head;
-        while idx != NIL {
-            let entry = self.occupied(idx);
-            out.push(entry.key.clone());
-            idx = entry.next;
-        }
-        out
-    }
-
-    /// The entry in a slab slot that the map or recency list points at.
-    /// The map, slab and links are mutated together behind the engine's
-    /// single cache mutex, so a vacant slot here is an internal coherence
-    /// bug — there is no degraded way to serve from a corrupt index.
-    fn occupied(&self, idx: usize) -> &Entry<K, V> {
-        // mvp-lint: allow(panic-path) -- slab/list coherence is a module-internal invariant, never request input; a vacant linked slot is unrecoverable corruption
-        self.slab[idx].as_ref().expect("linked slot occupied")
-    }
-
-    /// Mutable counterpart of [`occupied`](Self::occupied).
-    fn occupied_mut(&mut self, idx: usize) -> &mut Entry<K, V> {
-        // mvp-lint: allow(panic-path) -- slab/list coherence is a module-internal invariant, never request input; a vacant linked slot is unrecoverable corruption
-        self.slab[idx].as_mut().expect("linked slot occupied")
-    }
-
-    /// Removes and returns the entry of an occupied slot.
-    fn take_entry(&mut self, idx: usize) -> Entry<K, V> {
-        // mvp-lint: allow(panic-path) -- slab/list coherence is a module-internal invariant, never request input; a vacant linked slot is unrecoverable corruption
-        self.slab[idx].take().expect("linked slot occupied")
-    }
-
-    fn links(&self, idx: usize) -> (usize, usize) {
-        let entry = self.occupied(idx);
-        (entry.prev, entry.next)
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = self.links(idx);
-        match prev {
-            NIL => {
-                if self.head == idx {
-                    self.head = next;
-                }
-            }
-            p => self.occupied_mut(p).next = next,
-        }
-        match next {
-            NIL => {
-                if self.tail == idx {
-                    self.tail = prev;
-                }
-            }
-            n => self.occupied_mut(n).prev = prev,
-        }
-        let entry = self.occupied_mut(idx);
-        entry.prev = NIL;
-        entry.next = NIL;
-    }
-
-    fn attach_front(&mut self, idx: usize) {
-        {
-            let head = self.head;
-            let entry = self.occupied_mut(idx);
-            entry.prev = NIL;
-            entry.next = head;
-        }
-        if self.head != NIL {
-            self.occupied_mut(self.head).prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
+        let mut keys: Vec<(&K, u64)> = self.map.iter().map(|(k, (_, used))| (k, *used)).collect();
+        keys.sort_unstable_by_key(|&(_, used)| std::cmp::Reverse(used));
+        keys.into_iter().map(|(k, _)| k.clone()).collect()
     }
 }
 

@@ -1,46 +1,47 @@
 //! The long-lived detection engine.
 //!
 //! ```text
-//!  submit() ──try_send──▶ ingress queue (bounded; full ⇒ shed)
+//!  submit() ─────try_send──▶ ┐
+//!  submit_stream() ─send───▶ ├ ingress queue (bounded; a full queue
+//!  StreamHandle::push/finish ┘   sheds one-shots, blocks streams)
 //!                             │
 //!                         batcher thread
-//!                  cache hits answered inline; misses
-//!                  grouped into micro-batches (flush on
-//!                  max_batch or max_delay_ms, deduped by
-//!                  waveform hash)
+//!        whole waveforms: cache hit ⇒ finalize here; misses grouped
+//!        into micro-batches (flush on max_batch or max_delay_ms,
+//!        deduped by waveform hash); stream chunks forwarded as they come
 //!                    │                      │
-//!          BatchMeta ─▶ collector    WorkItem ─▶ one persistent
-//!                            ▲               worker per recogniser
-//!                            └── WorkResult ──┘   (transcribe_batch)
-//!                             │
+//!   Open / Finish ───▶ collector    WorkItem ─▶ one persistent worker
+//!                            ▲               per recogniser
+//!                            └── Report ─────┘  (one per request: a
+//!                             │                 final transcript, or a
+//!                             │                 running one per chunk)
 //!                         collector thread
-//!                  joins results per batch; finalizes full
-//!                  verdicts, inserts the cache, and applies
-//!                  the degradation policy to deadline misses
+//!        one Request per id: aligns running transcripts by chunk for
+//!        the early-exit rule, waits for final transcripts until each
+//!        recogniser's deadline, then finalize()
 //!                             │
-//!                       reply channel ──▶ PendingVerdict::wait()
+//!                       reply channel ──▶ PendingVerdict / StreamHandle
 //! ```
 //!
-//! Unlike [`DetectionSystem::detect`], which spawns one thread per
-//! recogniser per call, the engine keeps one worker per recogniser alive
-//! for its whole lifetime and feeds each worker whole batches, so thread
-//! startup and feature-extraction scratch allocations are amortised
-//! across requests.
+//! Unlike [`DetectionSystem::detect`], the engine keeps one worker per
+//! recogniser alive for its whole lifetime, so thread startup and
+//! feature-extraction scratch allocations are amortised across requests.
 //!
-//! Streamed requests ([`DetectionEngine::submit_stream`]) ride the same
-//! threads: the batcher forwards each chunk to every worker immediately
-//! (streams are not micro-batched), each worker advances one incremental
-//! [`AsrStream`] per open stream, and the collector assembles the running
-//! transcripts — firing an early `Adversarial` verdict when the
-//! configured [`EngineConfig::early_exit`] rule trips, or the full
-//! end-of-stream verdict at [`StreamHandle::finish`]. With early exit
-//! off, a chunked stream and a one-shot [`submit`](DetectionEngine::submit)
-//! of the same signal produce byte-identical transcripts and scores.
-//! Streams are flow-controlled, not shed: a full ingress queue blocks
-//! the pushing caller instead of dropping a chunk mid-utterance. They
-//! bypass the transcription cache, per-recogniser deadlines, and
-//! modality scoring (the audio is consumed chunk by chunk, never
-//! retained server-side).
+//! Every request has one lifecycle: open, chunks, finish, finalize. A
+//! one-shot [`submit`](DetectionEngine::submit) is opened, fed its whole
+//! waveform as one chunk and finished at once, so the batcher can answer
+//! it from the cache or micro-batch it; a stream is opened by
+//! [`DetectionEngine::submit_stream`] and finished by its
+//! [`StreamHandle`]. Either way every recogniser reports through the same
+//! per-request message, deadlines count from finish, a missing auxiliary
+//! degrades the verdict through the [`DegradePolicy`], and one `finalize`
+//! makes the verdict. With [`EngineConfig::early_exit`] set, the
+//! collector runs [`EarlyExit::update`] once per chunk on every
+//! recogniser's transcript after that same chunk, exactly as
+//! [`mvp_ears::DetectionStream`] does in-process. With it off, a chunked
+//! stream and a one-shot submit of the same signal get byte-identical
+//! scores. Streams are flow-controlled, not shed, and skip the cache and
+//! modality scoring: the server keeps no stream audio.
 //!
 //! Every stage is instrumented: `serve.submit`, `serve.flush`,
 //! `serve.cache_hit`, `serve.transcribe_batch` and `serve.finalize`
@@ -49,7 +50,7 @@
 //! one JSONL record per verdict or shed from which the decision can be
 //! reconstructed offline.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,7 +62,7 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError}
 use mvp_artifact::{ArtifactError, Persist};
 use mvp_asr::{Asr, AsrProfile, AsrScratch, AsrStream, TrainedAsr};
 use mvp_audio::Waveform;
-use mvp_ears::{DetectionSystem, DetectionSystemSnapshot, EarlyExit};
+use mvp_ears::{Detection, DetectionSystem, DetectionSystemSnapshot, EarlyExit};
 use mvp_modality::{ModalityInput, ModalityKind};
 use mvp_obs::metrics::Counter;
 use mvp_obs::{AuditLog, JsonObj, Registry};
@@ -80,8 +81,10 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// ... or when the oldest queued request has waited this long.
     pub max_delay_ms: u64,
-    /// Per-request deadline. The target ASR missing it fails the request;
-    /// an auxiliary missing it degrades the verdict.
+    /// Per-request deadline, counted from finish (a one-shot finishes at
+    /// submit, a stream at [`StreamHandle::finish`]). The target ASR
+    /// missing it fails the request; an auxiliary missing it degrades the
+    /// verdict.
     pub deadline_ms: u64,
     /// Per-auxiliary deadline override (clamped to `deadline_ms`).
     /// `None` inherits `deadline_ms`; `Some(0)` disables the auxiliary
@@ -126,7 +129,9 @@ pub struct EngineConfig {
     /// re-scores the running transcripts after every chunk and can
     /// answer `Adversarial` before end-of-stream. `None` (the default)
     /// decides only at [`StreamHandle::finish`], which keeps chunked
-    /// verdicts byte-identical to one-shot ones.
+    /// verdicts byte-identical to one-shot ones. The rule needs every
+    /// recogniser's transcript, so an auxiliary disabled through
+    /// `aux_deadline_ms` disarms it.
     pub early_exit: Option<EarlyExit>,
 }
 
@@ -149,21 +154,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// The per-request modality schedule, fixed at engine start.
-struct ModalityPlan {
-    kinds: Vec<ModalityKind>,
-    budgets_ms: Vec<Option<u64>>,
-    /// The system carries a fused classifier and `kinds` covers its
-    /// whole registry, so fully-scored requests get fused verdicts.
-    fused_capable: bool,
-}
-
-impl ModalityPlan {
-    fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
-    }
-}
-
 /// One modality's evidence for one request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModalityReport {
@@ -176,44 +166,6 @@ pub struct ModalityReport {
     pub features: Vec<f64>,
     /// Wall time spent scoring (0 when skipped).
     pub elapsed_us: u64,
-}
-
-/// Scores the planned modalities for one request, skipping any whose
-/// budget is already spent relative to `submitted`.
-fn score_modalities(
-    system: &DetectionSystem,
-    plan: &ModalityPlan,
-    wave: &Waveform,
-    target_text: &str,
-    submitted: Instant,
-    stats: &ServeStats,
-) -> Vec<ModalityReport> {
-    let input = ModalityInput::new(system.target(), wave, target_text);
-    plan.kinds
-        .iter()
-        .enumerate()
-        .map(|(i, &kind)| {
-            let budget = plan.budgets_ms.get(i).copied().flatten();
-            let spent_ms = submitted.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-            if budget.is_some_and(|ms| spent_ms >= ms) {
-                stats.modality_budget_missed.inc();
-                return ModalityReport { kind, scored: false, features: Vec::new(), elapsed_us: 0 };
-            }
-            let outcome = system
-                .modalities()
-                .score_where(&input, |k| k == kind)
-                .pop()
-                // mvp-lint: allow(panic-path) -- engine start asserted every planned kind is registered; an empty result is a config-validation bug, not request input
-                .expect("planned modality registered");
-            stats.modality_scored.inc();
-            ModalityReport {
-                kind,
-                scored: true,
-                features: outcome.features,
-                elapsed_us: outcome.elapsed_us,
-            }
-        })
-        .collect()
 }
 
 /// How a verdict was produced.
@@ -253,6 +205,63 @@ pub struct Verdict {
     pub early_exit: bool,
     /// End-to-end latency from `submit` to finalization.
     pub latency: Duration,
+}
+
+impl Verdict {
+    /// A [`VerdictKind::Full`] verdict on every recogniser's transcript:
+    /// the classifier's decision, the fused classifier's when
+    /// `detection.fused`, or the early-exit rule's when
+    /// `detection.early_exit`.
+    fn full(detection: Detection, modalities: Vec<ModalityReport>) -> Verdict {
+        Verdict {
+            is_adversarial: Some(detection.is_adversarial),
+            kind: VerdictKind::Full,
+            from_cache: false,
+            scores: detection.scores.into_iter().map(Some).collect(),
+            target_transcription: Some(detection.target_transcription),
+            modalities,
+            fused: detection.fused,
+            early_exit: detection.early_exit,
+            latency: Duration::ZERO,
+        }
+    }
+
+    /// A [`VerdictKind::Degraded`] verdict: `tier` answered because an
+    /// auxiliary or a modality was missing.
+    fn degraded(
+        tier: FallbackTier,
+        is_adversarial: bool,
+        scores: Vec<Option<f64>>,
+        target: String,
+        modalities: Vec<ModalityReport>,
+    ) -> Verdict {
+        Verdict {
+            is_adversarial: Some(is_adversarial),
+            kind: VerdictKind::Degraded(tier),
+            from_cache: false,
+            scores,
+            target_transcription: Some(target),
+            modalities,
+            fused: false,
+            early_exit: false,
+            latency: Duration::ZERO,
+        }
+    }
+
+    /// A [`VerdictKind::Failed`] verdict: the target transcript is missing.
+    fn failed(n_aux: usize) -> Verdict {
+        Verdict {
+            is_adversarial: None,
+            kind: VerdictKind::Failed,
+            from_cache: false,
+            scores: vec![None; n_aux],
+            target_transcription: None,
+            modalities: Vec::new(),
+            fused: false,
+            early_exit: false,
+            latency: Duration::ZERO,
+        }
+    }
 }
 
 /// Why a submission was rejected.
@@ -319,139 +328,185 @@ impl PendingVerdict {
     }
 }
 
-struct Request {
-    id: u64,
-    wave: Arc<Waveform>,
-    key: u64,
-    submitted: Instant,
-    /// Time spent in the ingress queue, stamped at batcher pickup.
-    queued_us: u64,
-    reply: Sender<Verdict>,
-}
-
-/// Everything that can enter the ingress queue: one-shot requests and
-/// stream lifecycle messages share the single bounded channel, so
-/// per-stream chunk order is preserved end to end.
-enum IngressMsg {
-    Detect(Request),
-    Stream(StreamMsg),
-}
-
-struct StreamMsg {
-    id: u64,
-    payload: StreamPayload,
-}
-
-enum StreamPayload {
-    Open { reply: Sender<Verdict>, opened: Instant },
-    Chunk { samples: Arc<Vec<f32>> },
-    Finish,
-}
-
+/// One caller waiting on a verdict.
 struct Waiter {
     id: u64,
     reply: Sender<Verdict>,
     submitted: Instant,
+    /// Time spent in the ingress queue, stamped at batcher pickup.
     queued_us: u64,
 }
 
-/// One unique waveform within a batch and everyone waiting on it. The
-/// waveform itself rides along so the collector can score modalities at
-/// finalization.
-struct BatchItem {
-    key: u64,
-    wave: Arc<Waveform>,
-    waiters: Vec<Waiter>,
+/// One step of a request's lifecycle. Every step of every request shares
+/// the single bounded ingress channel, so per-request order is preserved
+/// end to end.
+enum Ingress {
+    /// A one-shot submit: open, one whole-waveform chunk and finish at
+    /// once.
+    Whole { waiter: Waiter, wave: Arc<Waveform>, key: u64 },
+    /// A stream opens.
+    Open(Waiter),
+    /// The next chunk of stream `id`.
+    Chunk(u64, Arc<Vec<f32>>),
+    /// Stream `id` has all its audio in.
+    Finish(u64, Instant),
 }
 
 enum WorkItem {
-    Batch {
-        batch_id: u64,
-        waves: Vec<Arc<Waveform>>,
-    },
-    StreamChunk {
-        stream_id: u64,
-        samples: Arc<Vec<f32>>,
-        /// Send the running transcript back after this chunk (true only
-        /// when the engine has an early-exit rule to evaluate).
-        report_running: bool,
-    },
-    StreamFinish {
-        stream_id: u64,
-    },
+    /// One micro-batch of whole waveforms, each with its request id.
+    Batch { batch_id: u64, requests: Arc<Vec<(u64, Arc<Waveform>)>> },
+    /// The next chunk of stream `id`.
+    Chunk { id: u64, samples: Arc<Vec<f32>> },
+    /// End of stream `id`: flush it and report the final transcript.
+    Finish { id: u64 },
 }
 
-struct WorkResult {
-    batch_id: u64,
+/// One recogniser's transcript of one request.
+struct Report {
+    id: u64,
     asr_index: usize,
-    texts: Vec<String>,
+    text: String,
+    /// `Some((seq, frames))` for a running transcript after stream chunk
+    /// `seq` with `frames` logit frames decoded; `None` for the final one.
+    running: Option<(u64, usize)>,
+    /// Wall time the worker spent transcribing this request (the whole
+    /// batch for a batched waveform); set on final reports.
     elapsed_us: u64,
 }
 
-struct BatchMeta {
-    batch_id: u64,
-    items: Vec<BatchItem>,
-    /// Per recogniser (target first): whether work was sent to it.
-    dispatched: Vec<bool>,
-    /// Per recogniser: when the collector stops waiting for it.
-    deadlines: Vec<Instant>,
-}
-
 enum CollectorMsg {
-    Meta(BatchMeta),
-    Result(WorkResult),
-    StreamOpen { stream_id: u64, reply: Sender<Verdict>, opened: Instant },
-    StreamRunning { stream_id: u64, asr_index: usize, seq: u64, frames: usize, text: String },
-    StreamFinal { stream_id: u64, asr_index: usize, text: String },
+    Open(Request),
+    Finish(u64, Instant),
+    Report(Report),
 }
 
-/// Collector-side state of one open stream.
-struct StreamState {
-    reply: Sender<Verdict>,
-    opened: Instant,
-    /// An early verdict has been sent; the finish only cleans up.
-    answered: bool,
-    /// Consecutive collapsed early-exit evaluations.
+/// Running transcripts of one stream, aligned by chunk: the early-exit
+/// rule runs once per chunk, on every recogniser's transcript after that
+/// same chunk, whatever order the recognisers report in.
+#[derive(Debug, Default)]
+struct RunningBuffer {
+    /// Chunks not yet reported by every recogniser, by seq: per
+    /// recogniser (target first), its decoded frames and transcript.
+    chunks: BTreeMap<u64, Vec<Option<(usize, String)>>>,
+    /// Consecutive collapsed early-exit updates.
     collapsed: usize,
-    /// Chunk seq of the last early-exit evaluation (each chunk is
-    /// evaluated at most once, after every recogniser has reported it).
-    evaluated_seq: u64,
-    /// Per recogniser: logit frames decoded so far. The early-exit
-    /// `min_frames` gate reads the minimum, mirroring
-    /// `mvp_ears::DetectionStream::evaluate` — a heavily subsampling
-    /// auxiliary (or a lagging precision variant) must not be judged on a
-    /// near-empty running transcript.
-    frames: Vec<usize>,
-    /// Per recogniser: latest running `(seq, transcript)`.
-    running: Vec<Option<(u64, String)>>,
-    /// Per recogniser: the final flushed transcript.
-    finals: Vec<Option<String>>,
 }
 
-struct BatchState {
-    items: Vec<BatchItem>,
-    dispatched: Vec<bool>,
-    deadlines: Vec<Instant>,
-    /// Per recogniser: transcriptions aligned with `items`.
-    results: Vec<Option<Vec<String>>>,
-    /// Per recogniser: batch transcription wall time, for audit records.
-    elapsed_us: Vec<Option<u64>>,
+impl RunningBuffer {
+    /// Records recogniser `asr_index`'s running transcript after chunk
+    /// `seq` and returns every chunk now reported by all `n_rec`
+    /// recognisers, in seq order, as (fewest decoded frames, transcripts
+    /// target first). Each recogniser reports its chunks in order, so a
+    /// chunk completes only after every earlier one has.
+    fn record(
+        &mut self,
+        n_rec: usize,
+        asr_index: usize,
+        seq: u64,
+        frames: usize,
+        text: String,
+    ) -> Vec<(usize, Vec<String>)> {
+        let chunk = self.chunks.entry(seq).or_insert_with(|| vec![None; n_rec]);
+        if let Some(slot) = chunk.get_mut(asr_index) {
+            *slot = Some((frames, text));
+        }
+        let mut complete = Vec::new();
+        while let Some(first) = self.chunks.first_entry() {
+            if first.get().iter().any(Option::is_none) {
+                break;
+            }
+            let reports = first.remove().into_iter().flatten();
+            let (frames, texts): (Vec<usize>, Vec<String>) = reports.unzip();
+            complete.push((frames.into_iter().min().unwrap_or(0), texts));
+        }
+        complete
+    }
 }
 
-impl BatchState {
-    /// Ready when every dispatched recogniser has answered or timed out.
-    fn is_ready(&self, now: Instant) -> bool {
-        self.dispatched.iter().zip(&self.results).zip(&self.deadlines).all(
-            |((&dispatched, result), &deadline)| !dispatched || result.is_some() || now >= deadline,
-        )
+/// One request from open to finalize.
+struct Request {
+    id: u64,
+    /// Everyone waiting on the verdict: the stream's handle, or every
+    /// submit of audio deduplicated into this request within a batch.
+    /// Emptied once answered.
+    waiters: Vec<Waiter>,
+    /// Whole-waveform requests keep their cache key and audio (for
+    /// modality scoring); the server keeps no stream audio.
+    audio: Option<(u64, Arc<Waveform>)>,
+    /// The micro-batch that transcribed it, for audit records.
+    batch: Option<u64>,
+    /// When all audio was in; deadlines count from here.
+    finished: Option<Instant>,
+    /// Per recogniser (target first): the final transcript, once reported.
+    texts: Vec<Option<String>>,
+    /// Per recogniser: wall time spent transcribing, for audit records.
+    transcribe_us: Vec<Option<u64>>,
+    /// The transcripts came from the cache.
+    from_cache: bool,
+    running: RunningBuffer,
+}
+
+impl Request {
+    /// A whole-waveform request is finished on arrival, so its deadlines
+    /// count from its submit; a stream finishes at its handle's finish.
+    fn new(waiter: Waiter, audio: Option<(u64, Arc<Waveform>)>, n_rec: usize) -> Request {
+        Request {
+            id: waiter.id,
+            finished: audio.is_some().then_some(waiter.submitted),
+            waiters: vec![waiter],
+            audio,
+            batch: None,
+            texts: vec![None; n_rec],
+            transcribe_us: vec![None; n_rec],
+            from_cache: false,
+            running: RunningBuffer::default(),
+        }
     }
 
-    /// The next instant at which readiness can change by timeout alone.
-    fn next_deadline(&self) -> Option<Instant> {
-        (0..self.dispatched.len())
-            .filter(|&i| self.dispatched[i] && self.results[i].is_none())
-            .map(|i| self.deadlines[i])
-            .min()
+    /// When each dispatched recogniser still owing a final transcript
+    /// runs out of time; `None` until finish starts the clock.
+    fn deadlines<'a>(
+        &'a self,
+        waits: &'a [Option<Duration>],
+    ) -> Option<impl Iterator<Item = Instant> + 'a> {
+        let at = self.finished?;
+        let owed = waits.iter().zip(&self.texts).filter(|(_, text)| text.is_none());
+        Some(owed.filter_map(move |(wait, _)| wait.map(|w| at + w)))
+    }
+
+    /// Ready to finalize: finished, and every dispatched recogniser has
+    /// reported or run out of time.
+    fn is_ready(&self, now: Instant, waits: &[Option<Duration>]) -> bool {
+        self.deadlines(waits).is_some_and(|mut owed| owed.all(|at| now >= at))
+    }
+
+    /// Takes one recogniser's report: a final transcript is kept for
+    /// finalize; a running one feeds the early-exit rule.
+    fn record(&mut self, shared: &Shared, report: Report) {
+        let Report { asr_index, text, running, elapsed_us, .. } = report;
+        let Some((seq, frames)) = running else {
+            if let Some(slot) = self.texts.get_mut(asr_index) {
+                *slot = Some(text);
+            }
+            if let Some(slot) = self.transcribe_us.get_mut(asr_index) {
+                *slot = Some(elapsed_us);
+            }
+            return;
+        };
+        let Some(rule) = shared.early_exit else { return };
+        if self.waiters.is_empty() {
+            return;
+        }
+        let n_rec = self.texts.len();
+        for (least, texts) in self.running.record(n_rec, asr_index, seq, frames, text) {
+            let early = rule.update(&shared.system, &mut self.running.collapsed, least, || {
+                DetectionSystem::split_transcripts(texts)
+            });
+            if early.is_some() {
+                finalize(shared, self, early);
+                return;
+            }
+        }
     }
 }
 
@@ -486,12 +541,41 @@ impl SharedCache {
     }
 }
 
+/// What finalizing a request needs, shared by the batcher (cache hits)
+/// and the collector (every other request).
+struct Shared {
+    system: Arc<DetectionSystem>,
+    policy: DegradePolicy,
+    /// The modality mix scored per whole-waveform request, in order.
+    modalities: Vec<ModalityKind>,
+    /// Per-modality budgets, parallel to `modalities`.
+    modality_budgets_ms: Vec<Option<u64>>,
+    /// The system carries a fused classifier and `modalities` covers its
+    /// whole registry, so fully-scored requests get fused verdicts.
+    fused_capable: bool,
+    /// The early-exit rule, when armed.
+    early_exit: Option<EarlyExit>,
+    /// Per recogniser (target first): how long after a request finishes
+    /// the collector waits for its transcript; `None` = never dispatched.
+    waits: Vec<Option<Duration>>,
+    cache: Option<SharedCache>,
+    stats: Arc<ServeStats>,
+    audit: Option<Arc<AuditLog>>,
+}
+
+/// Saturating microseconds of a duration.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 /// Wall-clock microseconds since the Unix epoch, for audit records.
 fn wall_ts_us() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
-        .unwrap_or(0)
+    std::time::SystemTime::now().duration_since(std::time::SystemTime::UNIX_EPOCH).map_or(0, micros)
+}
+
+/// A JSON array of already-rendered values.
+fn json_array(items: impl IntoIterator<Item = String>) -> String {
+    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
 }
 
 /// Builds the JSONL audit record for one answered request.
@@ -511,59 +595,29 @@ fn verdict_record(
         VerdictKind::Degraded(t) => ("degraded", Some(t.name())),
         VerdictKind::Failed => ("failed", None),
     };
-    let mut aux = String::from("[");
-    for (j, text) in aux_texts.iter().enumerate() {
-        if j > 0 {
-            aux.push(',');
-        }
-        aux.push_str(
-            &JsonObj::new()
-                .u64("i", j as u64)
-                .opt_str("text", text.as_deref())
-                .opt_f64("score", verdict.scores.get(j).copied().flatten())
-                .finish(),
-        );
-    }
-    aux.push(']');
-    let mut transcribe = String::from("[");
-    for (i, t) in transcribe_us.iter().enumerate() {
-        if i > 0 {
-            transcribe.push(',');
-        }
-        match t {
-            Some(us) => transcribe.push_str(&us.to_string()),
-            None => transcribe.push_str("null"),
-        }
-    }
-    transcribe.push(']');
-    let mut modalities = String::from("[");
-    for (i, report) in verdict.modalities.iter().enumerate() {
-        if i > 0 {
-            modalities.push(',');
-        }
-        let mut features = String::from("[");
-        for (j, f) in report.features.iter().enumerate() {
-            if j > 0 {
-                features.push(',');
-            }
-            features.push_str(&format!("{f}"));
-        }
-        features.push(']');
-        modalities.push_str(
-            &JsonObj::new()
-                .str("name", report.kind.name())
-                .bool("scored", report.scored)
-                .raw("features", &features)
-                .u64("us", report.elapsed_us)
-                .finish(),
-        );
-    }
-    modalities.push(']');
+    let aux = json_array(aux_texts.iter().enumerate().map(|(j, text)| {
+        JsonObj::new()
+            .u64("i", j as u64)
+            .opt_str("text", text.as_deref())
+            .opt_f64("score", verdict.scores.get(j).copied().flatten())
+            .finish()
+    }));
+    let transcribe = json_array(
+        transcribe_us.iter().map(|t| t.map_or_else(|| "null".into(), |us| us.to_string())),
+    );
+    let modalities = json_array(verdict.modalities.iter().map(|report| {
+        JsonObj::new()
+            .str("name", report.kind.name())
+            .bool("scored", report.scored)
+            .raw("features", &json_array(report.features.iter().map(|f| format!("{f}"))))
+            .u64("us", report.elapsed_us)
+            .finish()
+    }));
     let timing = JsonObj::new()
         .u64("queue_us", queued_us)
         .raw("transcribe_us", &transcribe)
         .u64("finalize_us", finalize_us)
-        .u64("total_us", verdict.latency.as_micros().min(u128::from(u64::MAX)) as u64)
+        .u64("total_us", micros(verdict.latency))
         .finish();
     let obj = JsonObj::new()
         // v2 added the "modalities" array and the "fused" flag;
@@ -594,12 +648,13 @@ fn verdict_record(
 /// The long-lived serving engine. Dropping it drains in-flight requests
 /// (each gets a verdict) and joins all threads.
 pub struct DetectionEngine {
-    ingress: Option<Sender<IngressMsg>>,
+    ingress: Option<Sender<Ingress>>,
     threads: Vec<JoinHandle<()>>,
     stats: Arc<ServeStats>,
     audit: Option<Arc<AuditLog>>,
+    /// One id space for one-shot and stream requests, so audit `request`
+    /// values never collide.
     next_id: AtomicU64,
-    next_stream_id: AtomicU64,
 }
 
 impl std::fmt::Debug for DetectionEngine {
@@ -624,19 +679,14 @@ impl DetectionEngine {
         assert!(system.is_trained(), "serve a trained DetectionSystem");
         assert!(config.queue_cap > 0, "queue_cap must be positive");
         assert!(config.max_batch > 0, "max_batch must be positive");
-        let n_aux = system.n_auxiliaries();
-        assert!(
-            config.aux_deadline_ms.len() <= n_aux,
-            "aux_deadline_ms has {} entries for {} auxiliaries",
-            config.aux_deadline_ms.len(),
-            n_aux
-        );
-        assert!(
-            config.aux_int8.len() <= n_aux,
-            "aux_int8 has {} entries for {} auxiliaries",
-            config.aux_int8.len(),
-            n_aux
-        );
+        let (n_aux, n_modalities) = (system.n_auxiliaries(), config.modalities.len());
+        for (knob, len, max, of) in [
+            ("aux_deadline_ms", config.aux_deadline_ms.len(), n_aux, "auxiliaries"),
+            ("aux_int8", config.aux_int8.len(), n_aux, "auxiliaries"),
+            ("modality_budget_ms", config.modality_budget_ms.len(), n_modalities, "modalities"),
+        ] {
+            assert!(len <= max, "{knob} has {len} entries for {max} {of}");
+        }
         assert_eq!(policy.n_aux(), n_aux, "degrade policy dimension mismatch");
         let registered = system.modalities().kinds();
         for (i, kind) in config.modalities.iter().enumerate() {
@@ -644,30 +694,36 @@ impl DetectionEngine {
                 registered.contains(kind),
                 "modality {kind} is not registered on the served system"
             );
-            assert!(
-                !config.modalities[..i].contains(kind),
-                "modality {kind} listed twice in the engine config"
-            );
+            let twice = config.modalities[..i].contains(kind);
+            assert!(!twice, "modality {kind} listed twice in the engine config");
         }
-        assert!(
-            config.modality_budget_ms.len() <= config.modalities.len(),
-            "modality_budget_ms has {} entries for {} modalities",
-            config.modality_budget_ms.len(),
-            config.modalities.len()
-        );
-        let plan = Arc::new(ModalityPlan {
-            fused_capable: system.is_fused() && config.modalities == registered,
-            kinds: config.modalities.clone(),
-            budgets_ms: config.modality_budget_ms.clone(),
-        });
 
         let stats = Arc::new(ServeStats::new());
-        let policy = Arc::new(policy);
-        let audit = config.audit.clone();
-        let cache: Option<SharedCache> = (config.cache_cap > 0)
-            .then(|| SharedCache::new(config.cache_cap, stats.cache_poison_recovered.clone()));
+        // Entry 0 is the target recogniser; per-auxiliary overrides
+        // start at index 1.
+        let waits: Vec<Option<Duration>> = (0..=n_aux)
+            .map(|i| match i.checked_sub(1).and_then(|j| config.aux_deadline_ms.get(j)) {
+                Some(Some(0)) => None,
+                Some(Some(ms)) => Some(Duration::from_millis((*ms).min(config.deadline_ms))),
+                _ => Some(Duration::from_millis(config.deadline_ms)),
+            })
+            .collect();
+        let early_exit = config.early_exit.filter(|_| waits.iter().all(Option::is_some));
+        let shared = Arc::new(Shared {
+            fused_capable: system.is_fused() && config.modalities == registered,
+            system: Arc::clone(&system),
+            policy,
+            modalities: config.modalities.clone(),
+            modality_budgets_ms: config.modality_budget_ms.clone(),
+            early_exit,
+            waits,
+            cache: (config.cache_cap > 0)
+                .then(|| SharedCache::new(config.cache_cap, stats.cache_poison_recovered.clone())),
+            stats: Arc::clone(&stats),
+            audit: config.audit.clone(),
+        });
 
-        let (ingress_tx, ingress_rx) = channel::bounded::<IngressMsg>(config.queue_cap);
+        let (ingress_tx, ingress_rx) = channel::bounded::<Ingress>(config.queue_cap);
         // Bounded like every other serve channel (channel-discipline):
         // the collector always drains and never sends into a producer,
         // so capacity only sizes the buffer — it cannot deadlock.
@@ -695,81 +751,41 @@ impl DetectionEngine {
         // parallelism never oversubscribes the batch plane.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         mvp_dsp::kernel::set_threads((cores / recognizers.len().max(1)).max(1));
+        let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(body)
+                // mvp-lint: allow(panic-path) -- engine construction, before any request is accepted; failing to spawn means no engine exists to degrade
+                .expect("spawn engine thread")
+        };
         let mut threads = Vec::with_capacity(recognizers.len() + 2);
         let mut worker_txs = Vec::with_capacity(recognizers.len());
+        let running_from = shared.early_exit.map(|rule| rule.min_frames);
         for (i, asr) in recognizers.into_iter().enumerate() {
             // Bounded: a backlogged worker exerts backpressure on the
             // batcher (and through the ingress queue, on submitters)
             // instead of buffering without limit.
             let (tx, rx) = channel::bounded::<WorkItem>((config.queue_cap * 4).max(64));
             worker_txs.push(tx);
-            let collector_tx = collector_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(asr, i, rx, collector_tx))
-                    // mvp-lint: allow(panic-path) -- engine construction, before any request is accepted; failing to spawn means no engine exists to degrade
-                    .expect("spawn worker"),
-            );
+            let out = collector_tx.clone();
+            let body = move || worker_loop(asr, i, running_from, rx, out);
+            threads.push(spawn(format!("serve-worker-{i}"), Box::new(body)));
         }
-
-        {
-            let system = Arc::clone(&system);
-            let stats = Arc::clone(&stats);
-            let cache = cache.clone();
-            let config = config.clone();
-            let plan = Arc::clone(&plan);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-batcher".into())
-                    .spawn(move || {
-                        batcher_loop(
-                            system,
-                            config,
-                            plan,
-                            ingress_rx,
-                            worker_txs,
-                            collector_tx,
-                            cache,
-                            stats,
-                        )
-                    })
-                    // mvp-lint: allow(panic-path) -- engine construction, before any request is accepted; failing to spawn means no engine exists to degrade
-                    .expect("spawn batcher"),
-            );
-        }
-
-        {
-            let stats = Arc::clone(&stats);
-            let audit = audit.clone();
-            let early = config.early_exit;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-collector".into())
-                    .spawn(move || {
-                        collector_loop(
-                            system,
-                            policy,
-                            plan,
-                            early,
-                            collector_rx,
-                            cache,
-                            stats,
-                            audit,
-                        )
-                    })
-                    // mvp-lint: allow(panic-path) -- engine construction, before any request is accepted; failing to spawn means no engine exists to degrade
-                    .expect("spawn collector"),
-            );
-        }
+        let (batcher_shared, max_batch) = (Arc::clone(&shared), config.max_batch);
+        let max_delay = Duration::from_millis(config.max_delay_ms);
+        let batcher = move || {
+            batcher_loop(batcher_shared, max_batch, max_delay, ingress_rx, worker_txs, collector_tx)
+        };
+        threads.push(spawn("serve-batcher".into(), Box::new(batcher)));
+        let collector = move || collector_loop(shared, collector_rx);
+        threads.push(spawn("serve-collector".into(), Box::new(collector)));
 
         DetectionEngine {
             ingress: Some(ingress_tx),
             threads,
             stats,
-            audit,
+            audit: config.audit,
             next_id: AtomicU64::new(0),
-            next_stream_id: AtomicU64::new(0),
         }
     }
 
@@ -816,23 +832,28 @@ impl DetectionEngine {
         Ok((Self::start(system, policy, config), false))
     }
 
+    /// A new waiter under the next request id.
+    fn waiter(&self) -> (Waiter, Receiver<Verdict>) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let (reply, rx) = channel::bounded(1);
+        (Waiter { id, reply, submitted: Instant::now(), queued_us: 0 }, rx)
+    }
+
     /// Submits a waveform for detection. Non-blocking: a full ingress
     /// queue sheds the request with [`SubmitError::Overloaded`].
     pub fn submit(&self, wave: impl Into<Arc<Waveform>>) -> Result<PendingVerdict, SubmitError> {
         let tx = self.ingress.as_ref().ok_or(SubmitError::Closed)?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let _span = mvp_obs::span!("serve.submit", id);
         let wave = wave.into();
         let key = waveform_key(&wave);
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let request =
-            Request { id, wave, key, submitted: Instant::now(), queued_us: 0, reply: reply_tx };
+        let (waiter, rx) = self.waiter();
+        let id = waiter.id;
+        let _span = mvp_obs::span!("serve.submit", id);
         // Gauge first so it never underflows against the batcher's decrement.
         self.stats.queue_depth.inc();
-        match tx.try_send(IngressMsg::Detect(request)) {
+        match tx.try_send(Ingress::Whole { waiter, wave, key }) {
             Ok(()) => {
                 self.stats.submitted.inc();
-                Ok(PendingVerdict { rx: reply_rx })
+                Ok(PendingVerdict { rx })
             }
             Err(TrySendError::Full(_)) => {
                 self.stats.queue_depth.dec();
@@ -867,12 +888,11 @@ impl DetectionEngine {
     /// "every accepted stream is answered" a structural guarantee.
     pub fn submit_stream(&self) -> Result<StreamHandle<'_>, SubmitError> {
         let tx = self.ingress.as_ref().ok_or(SubmitError::Closed)?;
-        let id = self.next_stream_id.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let payload = StreamPayload::Open { reply: reply_tx, opened: Instant::now() };
-        tx.send(IngressMsg::Stream(StreamMsg { id, payload })).map_err(|_| SubmitError::Closed)?;
+        let (waiter, reply) = self.waiter();
+        let id = waiter.id;
+        tx.send(Ingress::Open(waiter)).map_err(|_| SubmitError::Closed)?;
         self.stats.streams_opened.inc();
-        Ok(StreamHandle { engine: self, id, reply: reply_rx, got: None, finished: false })
+        Ok(StreamHandle { engine: self, id, reply, got: None, finished: false })
     }
 
     /// Current ingress queue depth (the batcher's backlog). The shard
@@ -945,16 +965,15 @@ pub struct StreamHandle<'a> {
 }
 
 impl StreamHandle<'_> {
-    /// The engine-assigned stream id (also the `request` field of the
+    /// The engine-assigned request id (also the `request` field of the
     /// stream's audit records).
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    fn send(&self, payload: StreamPayload) -> Result<(), SubmitError> {
+    fn send(&self, step: Ingress) -> Result<(), SubmitError> {
         let tx = self.engine.ingress.as_ref().ok_or(SubmitError::Closed)?;
-        tx.send(IngressMsg::Stream(StreamMsg { id: self.id, payload }))
-            .map_err(|_| SubmitError::Closed)
+        tx.send(step).map_err(|_| SubmitError::Closed)
     }
 
     /// Feeds the next chunk of samples. Blocks while the ingress queue
@@ -966,7 +985,7 @@ impl StreamHandle<'_> {
     /// [`push`](Self::push) without copying an already-shared buffer.
     pub fn push_arc(&mut self, samples: Arc<Vec<f32>>) -> Result<(), SubmitError> {
         self.engine.stats.stream_chunks.inc();
-        self.send(StreamPayload::Chunk { samples })
+        self.send(Ingress::Chunk(self.id, samples))
     }
 
     /// Returns the early verdict if one has fired. After this returns
@@ -980,11 +999,12 @@ impl StreamHandle<'_> {
     }
 
     /// Ends the stream and blocks for its verdict: the early one if the
-    /// rule fired, otherwise the full end-of-stream detection (the only
-    /// place a stream can be judged `Benign`).
+    /// rule fired, otherwise the end-of-stream detection (the only place
+    /// a stream can be judged `Benign`). The stream's deadlines count
+    /// from here.
     pub fn finish(mut self) -> Result<Verdict, SubmitError> {
         self.finished = true;
-        self.send(StreamPayload::Finish)?;
+        self.send(Ingress::Finish(self.id, Instant::now()))?;
         if let Some(verdict) = self.got.take() {
             return Ok(verdict);
         }
@@ -996,89 +1016,99 @@ impl Drop for StreamHandle<'_> {
     fn drop(&mut self) {
         if !self.finished {
             if let Some(tx) = self.engine.ingress.as_ref() {
-                // Best-effort: a full queue here leaks the worker-side
-                // stream state until engine shutdown, which is preferable
-                // to a Drop that can block.
-                let _ = tx.try_send(IngressMsg::Stream(StreamMsg {
-                    id: self.id,
-                    payload: StreamPayload::Finish,
-                }));
+                // Best-effort: a full queue here leaks the stream's state
+                // until engine shutdown, which is preferable to a Drop
+                // that can block.
+                let _ = tx.try_send(Ingress::Finish(self.id, Instant::now()));
             }
         }
     }
 }
 
+/// One recogniser's worker. With `running_from` set (the early-exit
+/// rule's `min_frames`), it reports a running transcript after every
+/// stream chunk.
 fn worker_loop(
     asr: Arc<TrainedAsr>,
     asr_index: usize,
+    running_from: Option<usize>,
     work: Receiver<WorkItem>,
     out: Sender<CollectorMsg>,
 ) {
     // One scratch plan per worker thread: after the first few batches every
     // pipeline intermediate is served from these buffers, so steady-state
     // batches allocate nothing on the hot path. Streams each carry their
-    // own incremental state (`AsrStream`) keyed by stream id; the `u64`
-    // alongside is the chunk seq, counted identically by every worker so
-    // the collector can align running transcripts across recognisers.
+    // own incremental state (`AsrStream`) keyed by request id, the chunk
+    // seq (counted identically by every worker, so the collector can
+    // align running transcripts across recognisers) and the time spent.
     let mut scratch = AsrScratch::default();
-    let mut streams: HashMap<u64, (AsrStream, u64)> = HashMap::new();
+    let mut streams: HashMap<u64, (AsrStream, u64, Duration)> = HashMap::new();
+    let send = |id, text, running, elapsed_us| {
+        out.send(CollectorMsg::Report(Report { id, asr_index, text, running, elapsed_us })).is_ok()
+    };
     for item in work.iter() {
-        match item {
-            WorkItem::Batch { batch_id, waves } => {
-                let started = Instant::now();
+        let started = Instant::now();
+        let alive = match item {
+            WorkItem::Batch { batch_id, requests } => {
                 let texts = {
                     let _span = mvp_obs::span!("serve.transcribe_batch", batch_id);
-                    let refs: Vec<&Waveform> = waves.iter().map(Arc::as_ref).collect();
+                    let refs: Vec<&Waveform> = requests.iter().map(|(_, w)| w.as_ref()).collect();
                     asr.transcribe_batch_with(&refs, &mut scratch)
                 };
-                let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                let result = WorkResult { batch_id, asr_index, texts, elapsed_us };
-                if out.send(CollectorMsg::Result(result)).is_err() {
-                    return;
-                }
+                let elapsed_us = micros(started.elapsed());
+                requests.iter().zip(texts).all(|(&(id, _), text)| send(id, text, None, elapsed_us))
             }
-            WorkItem::StreamChunk { stream_id, samples, report_running } => {
-                let (stream, seq) = streams.entry(stream_id).or_default();
+            WorkItem::Chunk { id, samples } => {
+                let (stream, seq, busy) = streams.entry(id).or_default();
                 asr.stream_push_f32(stream, &samples);
                 *seq += 1;
-                if report_running {
-                    let msg = CollectorMsg::StreamRunning {
-                        stream_id,
-                        asr_index,
-                        seq: *seq,
-                        frames: stream.frames_decoded(),
-                        text: asr.stream_transcript(stream),
+                // The rule reads no transcript before every recogniser has
+                // decoded `min_frames`; below that, frames alone suffice.
+                let running = running_from.map(|min_frames| {
+                    let frames = stream.frames_decoded();
+                    let text = if frames >= min_frames {
+                        asr.stream_transcript(stream)
+                    } else {
+                        String::new()
                     };
-                    if out.send(msg).is_err() {
-                        return;
-                    }
-                }
+                    (text, frames)
+                });
+                *busy += started.elapsed();
+                running.is_none_or(|(text, frames)| send(id, text, Some((*seq, frames)), 0))
             }
-            WorkItem::StreamFinish { stream_id } => {
-                let (mut stream, _seq) = streams.remove(&stream_id).unwrap_or_default();
+            WorkItem::Finish { id } => {
+                let (mut stream, _, busy) = streams.remove(&id).unwrap_or_default();
                 let text = asr.stream_finish(&mut stream);
-                if out.send(CollectorMsg::StreamFinal { stream_id, asr_index, text }).is_err() {
-                    return;
-                }
+                send(id, text, None, micros(busy + started.elapsed()))
             }
+        };
+        if !alive {
+            return;
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+fn lookup(shared: &Shared, key: u64) -> Option<TranscriptVec> {
+    let cache = shared.cache.as_ref()?;
+    shared.stats.cache_lookups.inc();
+    let hit = cache.with(|c| c.get(&key).cloned());
+    if hit.is_some() {
+        shared.stats.cache_hits.inc();
+    }
+    hit
+}
+
 fn batcher_loop(
-    system: Arc<DetectionSystem>,
-    config: EngineConfig,
-    plan: Arc<ModalityPlan>,
-    ingress: Receiver<IngressMsg>,
-    worker_txs: Vec<Sender<WorkItem>>,
-    collector_tx: Sender<CollectorMsg>,
-    cache: Option<SharedCache>,
-    stats: Arc<ServeStats>,
+    shared: Arc<Shared>,
+    max_batch: usize,
+    max_delay: Duration,
+    ingress: Receiver<Ingress>,
+    workers: Vec<Sender<WorkItem>>,
+    collector: Sender<CollectorMsg>,
 ) {
-    let n_rec = worker_txs.len();
-    let overall = Duration::from_millis(config.deadline_ms);
-    let max_delay = Duration::from_millis(config.max_delay_ms);
+    let n_rec = workers.len();
+    let dispatched =
+        || workers.iter().zip(&shared.waits).filter(|(_, w)| w.is_some()).map(|(tx, _)| tx);
     let mut next_batch_id = 0u64;
     let mut pending: Vec<Request> = Vec::new();
     let mut flush_at: Option<Instant> = None;
@@ -1090,54 +1120,37 @@ fn batcher_loop(
         let batch_id = *next_batch_id;
         *next_batch_id += 1;
         let _span = mvp_obs::span!("serve.flush", batch_id);
-
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut waves: Vec<Arc<Waveform>> = Vec::new();
+        shared.stats.batches.inc();
+        shared.stats.batched_requests.add(pending.len() as u64);
+        // Identical audio within a batch is transcribed once: later
+        // submits join the first one's request as extra waiters.
+        let mut requests: Vec<Request> = Vec::new();
         let mut index_of: HashMap<u64, usize> = HashMap::new();
-        let Some(first) = pending.first() else { return };
-        let mut earliest = first.submitted;
-        let n_requests = pending.len() as u64;
-        for Request { id, wave, key, submitted, queued_us, reply } in pending.drain(..) {
-            earliest = earliest.min(submitted);
-            let waiter = Waiter { id, reply, submitted, queued_us };
-            match index_of.get(&key).and_then(|&idx| items.get_mut(idx)) {
-                Some(item) => item.waiters.push(waiter),
+        for mut request in pending.drain(..) {
+            let key = request.audio.as_ref().map_or(0, |(key, _)| *key);
+            match index_of.get(&key).and_then(|&i| requests.get_mut(i)) {
+                Some(first) => first.waiters.append(&mut request.waiters),
                 None => {
-                    index_of.insert(key, items.len());
-                    waves.push(Arc::clone(&wave));
-                    items.push(BatchItem { key, wave, waiters: vec![waiter] });
+                    index_of.insert(key, requests.len());
+                    request.batch = Some(batch_id);
+                    requests.push(request);
                 }
             }
         }
-
-        let mut dispatched = vec![true; n_rec];
-        let mut deadlines = vec![earliest + overall; n_rec];
-        // Entry 0 is the target recogniser; per-auxiliary overrides
-        // start at index 1.
-        let aux = dispatched.iter_mut().skip(1).zip(deadlines.iter_mut().skip(1));
-        for (override_ms, (dispatch, deadline)) in config.aux_deadline_ms.iter().zip(aux) {
-            match override_ms {
-                Some(0) => *dispatch = false,
-                Some(ms) => {
-                    *deadline = earliest + Duration::from_millis((*ms).min(config.deadline_ms));
-                }
-                None => {}
+        let work: Vec<(u64, Arc<Waveform>)> = requests
+            .iter()
+            .filter_map(|r| r.audio.as_ref().map(|(_, wave)| (r.id, Arc::clone(wave))))
+            .collect();
+        // Every request enters the collector queue before any worker can
+        // report on it.
+        for request in requests {
+            if collector.send(CollectorMsg::Open(request)).is_err() {
+                return;
             }
         }
-
-        stats.batches.inc();
-        stats.batched_requests.add(n_requests);
-
-        // Meta enters the collector queue before any worker can answer, so
-        // the collector always knows a batch before seeing its results.
-        let meta = BatchMeta { batch_id, items, dispatched: dispatched.clone(), deadlines };
-        if collector_tx.send(CollectorMsg::Meta(meta)).is_err() {
-            return;
-        }
-        for (tx, &dispatch) in worker_txs.iter().zip(&dispatched) {
-            if dispatch {
-                let _ = tx.send(WorkItem::Batch { batch_id, waves: waves.clone() });
-            }
+        let work = Arc::new(work);
+        for tx in dispatched() {
+            let _ = tx.send(WorkItem::Batch { batch_id, requests: Arc::clone(&work) });
         }
     };
 
@@ -1147,49 +1160,46 @@ fn batcher_loop(
             Some(t) => ingress.recv_timeout(t.saturating_duration_since(Instant::now())),
         };
         match received {
-            Ok(IngressMsg::Detect(mut request)) => {
-                stats.queue_depth.dec();
-                request.queued_us =
-                    request.submitted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                if let Some(cached) = lookup(&cache, &request.key, &stats) {
-                    answer_cache_hit(&system, &plan, &request, &cached, &stats, &config.audit);
+            Ok(Ingress::Whole { mut waiter, wave, key }) => {
+                shared.stats.queue_depth.dec();
+                waiter.queued_us = micros(waiter.submitted.elapsed());
+                let mut request = Request::new(waiter, Some((key, wave)), n_rec);
+                if let Some(texts) = lookup(&shared, key) {
+                    let _span = mvp_obs::span!("serve.cache_hit", request.id);
+                    request.texts = texts.iter().cloned().map(Some).collect();
+                    request.from_cache = true;
+                    finalize(&shared, &mut request, None);
                     continue;
                 }
                 pending.push(request);
-                if pending.len() >= config.max_batch {
+                if pending.len() >= max_batch {
                     flush(&mut pending, &mut next_batch_id);
                     flush_at = None;
                 } else if flush_at.is_none() {
                     flush_at = Some(Instant::now() + max_delay);
                 }
             }
-            // Stream traffic is forwarded immediately, never batched: a
+            // Stream steps are forwarded immediately, never batched: a
             // chunk is one unit of work for every recogniser, and order
             // within a stream is preserved by channel FIFO end to end.
-            Ok(IngressMsg::Stream(StreamMsg { id, payload })) => match payload {
-                StreamPayload::Open { reply, opened } => {
-                    let msg = CollectorMsg::StreamOpen { stream_id: id, reply, opened };
-                    if collector_tx.send(msg).is_err() {
-                        return;
-                    }
+            Ok(Ingress::Open(waiter)) => {
+                if collector.send(CollectorMsg::Open(Request::new(waiter, None, n_rec))).is_err() {
+                    return;
                 }
-                StreamPayload::Chunk { samples } => {
-                    let report_running = config.early_exit.is_some();
-                    for tx in &worker_txs {
-                        let item = WorkItem::StreamChunk {
-                            stream_id: id,
-                            samples: Arc::clone(&samples),
-                            report_running,
-                        };
-                        let _ = tx.send(item);
-                    }
+            }
+            Ok(Ingress::Chunk(id, samples)) => {
+                for tx in dispatched() {
+                    let _ = tx.send(WorkItem::Chunk { id, samples: Arc::clone(&samples) });
                 }
-                StreamPayload::Finish => {
-                    for tx in &worker_txs {
-                        let _ = tx.send(WorkItem::StreamFinish { stream_id: id });
-                    }
+            }
+            Ok(Ingress::Finish(id, at)) => {
+                if collector.send(CollectorMsg::Finish(id, at)).is_err() {
+                    return;
                 }
-            },
+                for tx in dispatched() {
+                    let _ = tx.send(WorkItem::Finish { id });
+                }
+            }
             Err(RecvTimeoutError::Timeout) => {
                 flush(&mut pending, &mut next_batch_id);
                 flush_at = None;
@@ -1202,497 +1212,204 @@ fn batcher_loop(
     }
 }
 
-fn lookup(cache: &Option<SharedCache>, key: &u64, stats: &ServeStats) -> Option<TranscriptVec> {
-    let cache = cache.as_ref()?;
-    stats.cache_lookups.inc();
-    let hit = cache.with(|c| c.get(key).cloned());
-    if hit.is_some() {
-        stats.cache_hits.inc();
-    }
-    hit
-}
-
-/// Applies the modality plan to a full similarity verdict: upgrade to a
-/// fused verdict when every planned modality scored on a fused-capable
-/// engine, degrade to [`FallbackTier::SimilarityOnly`] when one missed
-/// its budget, or just attach the evidence reports otherwise.
-fn resolve_with_modalities(
-    system: &DetectionSystem,
-    plan: &ModalityPlan,
-    wave: &Waveform,
-    similarity_verdict: bool,
-    scores: &[f64],
-    target_text: &str,
-    submitted: Instant,
-    stats: &ServeStats,
-) -> (bool, VerdictKind, Vec<ModalityReport>, bool) {
-    if plan.is_empty() {
-        return (similarity_verdict, VerdictKind::Full, Vec::new(), false);
-    }
-    let reports = score_modalities(system, plan, wave, target_text, submitted, stats);
-    if !plan.fused_capable {
-        return (similarity_verdict, VerdictKind::Full, reports, false);
-    }
-    if reports.iter().all(|r| r.scored) {
-        let mut raw = scores.to_vec();
-        for report in &reports {
-            raw.extend_from_slice(&report.features);
-        }
-        let fused = system
-            .fused_classifier()
-            // mvp-lint: allow(panic-path) -- fused_capable is only set at engine start when the system carries a fused classifier
-            .expect("fused-capable plan implies a fused classifier");
-        return (fused.is_adversarial(&raw), VerdictKind::Full, reports, true);
-    }
-    (similarity_verdict, VerdictKind::Degraded(FallbackTier::SimilarityOnly), reports, false)
-}
-
-fn answer_cache_hit(
-    system: &DetectionSystem,
-    plan: &ModalityPlan,
-    request: &Request,
-    texts: &TranscriptVec,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-) {
-    let _span = mvp_obs::span!("serve.cache_hit", request.id);
-    let (target, auxiliaries) = DetectionSystem::split_transcripts(texts.as_ref().clone());
-    let detection = system.detect_from_transcripts(target, auxiliaries);
-    let aux_texts: Vec<Option<String>> =
-        detection.auxiliary_transcriptions.iter().cloned().map(Some).collect();
-    let (is_adversarial, kind, modalities, fused) = resolve_with_modalities(
-        system,
-        plan,
-        &request.wave,
-        detection.is_adversarial,
-        &detection.scores,
-        &detection.target_transcription,
-        request.submitted,
-        stats,
-    );
-    let verdict = Verdict {
-        is_adversarial: Some(is_adversarial),
-        kind,
-        from_cache: true,
-        scores: detection.scores.into_iter().map(Some).collect(),
-        target_transcription: Some(detection.target_transcription),
-        modalities,
-        fused,
-        early_exit: false,
-        latency: request.submitted.elapsed(),
-    };
-    if matches!(verdict.kind, VerdictKind::Degraded(_)) {
-        stats.degraded.inc();
-    }
-    if verdict.fused {
-        stats.fused_verdicts.inc();
-    }
-    stats.latency.record(verdict.latency);
-    stats.completed.inc();
-    if let Some(audit) = audit {
-        let record =
-            verdict_record(request.id, None, &verdict, &aux_texts, None, request.queued_us, &[], 0);
-        let _ = audit.append(&record);
-    }
-    let _ = request.reply.send(verdict);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn collector_loop(
-    system: Arc<DetectionSystem>,
-    policy: Arc<DegradePolicy>,
-    plan: Arc<ModalityPlan>,
-    early: Option<EarlyExit>,
-    rx: Receiver<CollectorMsg>,
-    cache: Option<SharedCache>,
-    stats: Arc<ServeStats>,
-    audit: Option<Arc<AuditLog>>,
-) {
-    let mut batches: HashMap<u64, BatchState> = HashMap::new();
-    let mut streams: HashMap<u64, StreamState> = HashMap::new();
-    let n_rec = system.n_recognizers();
+fn collector_loop(shared: Arc<Shared>, rx: Receiver<CollectorMsg>) {
+    let mut requests: HashMap<u64, Request> = HashMap::new();
     loop {
-        let next_deadline = batches.values().filter_map(BatchState::next_deadline).min();
+        let next_deadline =
+            requests.values().filter_map(|r| r.deadlines(&shared.waits)?.min()).min();
         let received = match next_deadline {
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             Some(t) => rx.recv_timeout(t.saturating_duration_since(Instant::now())),
         };
+        // Producers gone and their queue drained: every transcript that
+        // will ever arrive has arrived, so finalize what remains (missing
+        // transcripts count as missed) rather than waiting out deadlines.
+        let closing = matches!(received, Err(RecvTimeoutError::Disconnected));
         match received {
-            Ok(CollectorMsg::Meta(meta)) => {
-                let n_rec = meta.dispatched.len();
-                batches.insert(
-                    meta.batch_id,
-                    BatchState {
-                        items: meta.items,
-                        dispatched: meta.dispatched,
-                        deadlines: meta.deadlines,
-                        results: (0..n_rec).map(|_| None).collect(),
-                        elapsed_us: vec![None; n_rec],
-                    },
-                );
+            Ok(CollectorMsg::Open(request)) => {
+                requests.insert(request.id, request);
             }
-            Ok(CollectorMsg::Result(result)) => {
-                if let Some(state) = batches.get_mut(&result.batch_id) {
-                    if let Some(slot) = state.results.get_mut(result.asr_index) {
-                        *slot = Some(result.texts);
-                    }
-                    if let Some(slot) = state.elapsed_us.get_mut(result.asr_index) {
-                        *slot = Some(result.elapsed_us);
-                    }
+            Ok(CollectorMsg::Finish(id, at)) => {
+                if let Some(request) = requests.get_mut(&id) {
+                    request.finished = Some(at);
                 }
             }
-            Ok(CollectorMsg::StreamOpen { stream_id, reply, opened }) => {
-                streams.insert(
-                    stream_id,
-                    StreamState {
-                        reply,
-                        opened,
-                        answered: false,
-                        collapsed: 0,
-                        evaluated_seq: 0,
-                        frames: vec![0; n_rec],
-                        running: vec![None; n_rec],
-                        finals: vec![None; n_rec],
-                    },
-                );
-            }
-            Ok(CollectorMsg::StreamRunning { stream_id, asr_index, seq, frames, text }) => {
-                if let Some(state) = streams.get_mut(&stream_id) {
-                    if let Some(slot) = state.frames.get_mut(asr_index) {
-                        *slot = frames;
-                    }
-                    if let Some(slot) = state.running.get_mut(asr_index) {
-                        *slot = Some((seq, text));
-                    }
-                    if !state.answered {
-                        if let Some(rule) = early {
-                            evaluate_stream(&system, rule, state, &stats, &audit, stream_id);
-                        }
-                    }
+            Ok(CollectorMsg::Report(report)) => {
+                if let Some(request) = requests.get_mut(&report.id) {
+                    request.record(&shared, report);
                 }
             }
-            Ok(CollectorMsg::StreamFinal { stream_id, asr_index, text }) => {
-                let done = match streams.get_mut(&stream_id) {
-                    Some(state) => {
-                        if let Some(slot) = state.finals.get_mut(asr_index) {
-                            *slot = Some(text);
-                        }
-                        state.finals.iter().all(Option::is_some)
-                    }
-                    None => false,
-                };
-                if done {
-                    // mvp-lint: allow(panic-path) -- `done` was computed from this exact entry two lines up with no intervening removal
-                    let state = streams.remove(&stream_id).expect("finalized stream present");
-                    finalize_stream(&system, &stats, &audit, stream_id, state);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            // Producers gone and their queue drained: every result that
-            // will ever arrive has arrived, so finalize what remains
-            // (missing slots count as missed) rather than waiting out
-            // deadlines, and answer any still-open stream with a Failed
-            // verdict so no ticket is left hanging.
-            Err(RecvTimeoutError::Disconnected) => {
-                for (id, state) in batches.drain() {
-                    finalize(&system, &policy, &plan, &cache, &stats, &audit, id, state);
-                }
-                for (_, state) in streams.drain() {
-                    if !state.answered {
-                        let verdict = Verdict {
-                            is_adversarial: None,
-                            kind: VerdictKind::Failed,
-                            from_cache: false,
-                            scores: vec![None; n_rec - 1],
-                            target_transcription: None,
-                            modalities: Vec::new(),
-                            fused: false,
-                            early_exit: false,
-                            latency: state.opened.elapsed(),
-                        };
-                        stats.completed.inc();
-                        let _ = state.reply.send(verdict);
-                    }
-                }
-                return;
-            }
+            Err(_) => {}
         }
         let now = Instant::now();
-        let ready: Vec<u64> =
-            batches.iter().filter(|(_, s)| s.is_ready(now)).map(|(&id, _)| id).collect();
-        for id in ready {
-            // mvp-lint: allow(panic-path) -- `id` was collected from `batches` two lines up with no intervening removal; absence is an engine bug, not request input
-            let state = batches.remove(&id).expect("ready batch present");
-            finalize(&system, &policy, &plan, &cache, &stats, &audit, id, state);
+        requests.retain(|_, request| {
+            let done = closing || request.is_ready(now, &shared.waits);
+            if done {
+                // Counted before the reply, so a caller holding the
+                // verdict already sees its stream completed.
+                if request.audio.is_none() {
+                    shared.stats.streams_completed.inc();
+                }
+                finalize(&shared, request, None);
+            }
+            !done
+        });
+        if closing {
+            return;
         }
     }
 }
 
-/// One early-exit evaluation over a stream's running transcripts. Runs
-/// once per chunk seq, after every recogniser has reported that seq; the
-/// mechanics mirror `mvp_ears::DetectionStream::evaluate` so serve-side
-/// and in-process streaming agree on when a verdict may fire early.
-fn evaluate_stream(
-    system: &DetectionSystem,
-    rule: EarlyExit,
-    state: &mut StreamState,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-    stream_id: u64,
-) {
-    let mut seq = u64::MAX;
-    for report in &state.running {
-        match report {
-            Some((s, _)) => seq = seq.min(*s),
-            None => return,
-        }
-    }
-    if seq <= state.evaluated_seq {
-        return;
-    }
-    state.evaluated_seq = seq;
-    if state.frames.iter().copied().min().unwrap_or(0) < rule.min_frames {
-        return;
-    }
-    let target = state.running.first().and_then(Option::as_ref).map_or("", |(_, t)| t.as_str());
-    let auxiliaries: Vec<String> = state
-        .running
+/// Scores the planned modalities for one request, skipping any whose
+/// budget is already spent relative to `submitted`.
+fn score_modalities(
+    shared: &Shared,
+    wave: &Waveform,
+    target_text: &str,
+    submitted: Instant,
+) -> Vec<ModalityReport> {
+    let input = ModalityInput::new(shared.system.target(), wave, target_text);
+    let registry = shared.system.modalities();
+    let spent = |budget_ms: u64| micros(submitted.elapsed()) / 1_000 >= budget_ms;
+    shared
+        .modalities
         .iter()
-        .skip(1)
-        .map(|r| r.as_ref().map_or(String::new(), |(_, t)| t.clone()))
-        .collect();
-    let scores = system.scores_from_transcripts(target, &auxiliaries);
-    let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
-    let collapsed = mean < rule.threshold - rule.margin && system.classify_scores(&scores);
-    state.collapsed = if collapsed { state.collapsed + 1 } else { 0 };
-    if state.collapsed < rule.horizon.max(1) {
-        return;
-    }
-    state.answered = true;
-    stats.stream_early_exits.inc();
-    let verdict = Verdict {
-        is_adversarial: Some(true),
-        kind: VerdictKind::Full,
-        from_cache: false,
-        scores: scores.into_iter().map(Some).collect(),
-        target_transcription: Some(target.to_string()),
-        modalities: Vec::new(),
-        fused: false,
-        early_exit: true,
-        latency: state.opened.elapsed(),
-    };
-    stats.latency.record(verdict.latency);
-    stats.completed.inc();
-    if let Some(audit) = audit {
-        let aux_texts: Vec<Option<String>> = auxiliaries.into_iter().map(Some).collect();
-        let record = verdict_record(stream_id, None, &verdict, &aux_texts, None, 0, &[], 0);
-        let _ = audit.append(&record);
-    }
-    let _ = state.reply.send(verdict);
+        .enumerate()
+        .map(|(i, &kind)| {
+            let budget = shared.modality_budgets_ms.get(i).copied().flatten();
+            // Engine start rejects unregistered kinds, so an empty score
+            // only ever means a spent budget.
+            let outcome = (!budget.is_some_and(spent))
+                .then(|| registry.score_where(&input, |k| k == kind).pop())
+                .flatten();
+            let Some(outcome) = outcome else {
+                shared.stats.modality_budget_missed.inc();
+                return ModalityReport { kind, scored: false, features: Vec::new(), elapsed_us: 0 };
+            };
+            shared.stats.modality_scored.inc();
+            let (features, elapsed_us) = (outcome.features, outcome.elapsed_us);
+            ModalityReport { kind, scored: true, features, elapsed_us }
+        })
+        .collect()
 }
 
-/// Settles a stream whose every recogniser has flushed: the full
-/// end-of-stream detection — the only place a stream is judged benign.
-/// A stream already answered early only has its state reclaimed here.
-fn finalize_stream(
-    system: &DetectionSystem,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-    stream_id: u64,
-    state: StreamState,
-) {
-    stats.streams_completed.inc();
-    if state.answered {
-        return;
-    }
-    let texts: Vec<String> = state.finals.into_iter().map(Option::unwrap_or_default).collect();
-    let (target, auxiliaries) = DetectionSystem::split_transcripts(texts);
-    let detection = system.detect_from_transcripts(target, auxiliaries);
-    let aux_texts: Vec<Option<String>> =
-        detection.auxiliary_transcriptions.iter().cloned().map(Some).collect();
-    let verdict = Verdict {
-        is_adversarial: Some(detection.is_adversarial),
-        kind: VerdictKind::Full,
-        from_cache: false,
-        scores: detection.scores.into_iter().map(Some).collect(),
-        target_transcription: Some(detection.target_transcription),
-        modalities: Vec::new(),
-        fused: false,
-        early_exit: false,
-        latency: state.opened.elapsed(),
+/// Decides a request from its final transcripts: `Failed` without the
+/// target; `Degraded` by the policy when an auxiliary is missing;
+/// otherwise the full detection, resolved through the modality plan for
+/// whole-waveform requests (fused when every modality scored on a
+/// fused-capable engine, `SimilarityOnly` when one missed its budget).
+/// Also returns the threshold of a `MeanThreshold` verdict, which makes
+/// it reconstructible from the audit record alone.
+fn decide(shared: &Shared, request: &mut Request) -> (Verdict, Option<f64>) {
+    let system = &shared.system;
+    let mut texts = std::mem::take(&mut request.texts).into_iter();
+    let n_aux = texts.len().saturating_sub(1);
+    let Some(Some(target)) = texts.next() else {
+        return (Verdict::failed(n_aux), None);
     };
-    stats.latency.record(verdict.latency);
-    stats.completed.inc();
-    if let Some(audit) = audit {
-        let record = verdict_record(stream_id, None, &verdict, &aux_texts, None, 0, &[], 0);
-        let _ = audit.append(&record);
+    let aux: Vec<Option<String>> = texts.collect();
+    if aux.iter().any(Option::is_none) {
+        let (indices, texts): (Vec<usize>, Vec<String>) =
+            aux.into_iter().enumerate().filter_map(|(j, t)| t.map(|t| (j, t))).unzip();
+        let pairs: Vec<(usize, f64)> =
+            indices.into_iter().zip(system.scores_from_transcripts(&target, &texts)).collect();
+        let (is_adversarial, tier) = shared.policy.classify(&pairs);
+        let scores = (0..n_aux).map(|j| pairs.iter().find(|p| p.0 == j).map(|p| p.1)).collect();
+        let threshold =
+            shared.policy.mean_threshold().filter(|_| tier == FallbackTier::MeanThreshold);
+        // An auxiliary is already missing; modality scoring would only
+        // add latency to an answer the fused classifier cannot use.
+        return (Verdict::degraded(tier, is_adversarial, scores, target, Vec::new()), threshold);
     }
-    let _ = state.reply.send(verdict);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    system: &DetectionSystem,
-    policy: &DegradePolicy,
-    plan: &ModalityPlan,
-    cache: &Option<SharedCache>,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-    batch_id: u64,
-    state: BatchState,
-) {
-    let _span = mvp_obs::span!("serve.finalize", batch_id);
-    let started = Instant::now();
-    let n_rec = state.results.len();
-    let n_aux = n_rec - 1;
-    for (idx, item) in state.items.into_iter().enumerate() {
-        let target = state
-            .results
-            .first()
-            .and_then(Option::as_ref)
-            .and_then(|texts| texts.get(idx))
-            .cloned();
-        let (verdict, aux_texts) = match target {
-            None => (
-                Verdict {
-                    is_adversarial: None,
-                    kind: VerdictKind::Failed,
-                    from_cache: false,
-                    scores: vec![None; n_aux],
-                    target_transcription: None,
-                    modalities: Vec::new(),
-                    fused: false,
-                    early_exit: false,
-                    latency: Duration::ZERO,
-                },
-                vec![None; n_aux],
-            ),
-            Some(target) => {
-                let available: Vec<(usize, String)> = (0..n_aux)
-                    .filter_map(|j| {
-                        state
-                            .results
-                            .get(j + 1)
-                            .and_then(Option::as_ref)
-                            .and_then(|texts| texts.get(idx))
-                            .map(|t| (j, t.clone()))
-                    })
-                    .collect();
-                if available.len() == n_aux {
-                    let auxiliaries: Vec<String> = available.into_iter().map(|(_, t)| t).collect();
-                    let detection = system.detect_from_transcripts(target, auxiliaries);
-                    if let Some(cache) = cache {
-                        let mut vector = Vec::with_capacity(n_rec);
-                        vector.push(detection.target_transcription.clone());
-                        vector.extend(detection.auxiliary_transcriptions.iter().cloned());
-                        cache.with(|c| c.insert(item.key, Arc::new(vector)));
-                    }
-                    let aux_texts: Vec<Option<String>> =
-                        detection.auxiliary_transcriptions.iter().cloned().map(Some).collect();
-                    // Modality budgets run against the oldest waiter:
-                    // the request that has been waiting longest decides
-                    // how much patience the batch has left.
-                    let earliest =
-                        item.waiters.iter().map(|w| w.submitted).min().unwrap_or_else(Instant::now);
-                    let (is_adversarial, kind, modalities, fused) = resolve_with_modalities(
-                        system,
-                        plan,
-                        &item.wave,
-                        detection.is_adversarial,
-                        &detection.scores,
-                        &detection.target_transcription,
-                        earliest,
-                        stats,
-                    );
-                    (
-                        Verdict {
-                            is_adversarial: Some(is_adversarial),
-                            kind,
-                            from_cache: false,
-                            scores: detection.scores.into_iter().map(Some).collect(),
-                            target_transcription: Some(detection.target_transcription),
-                            modalities,
-                            fused,
-                            early_exit: false,
-                            latency: Duration::ZERO,
-                        },
-                        aux_texts,
-                    )
-                } else {
-                    let indices: Vec<usize> = available.iter().map(|&(j, _)| j).collect();
-                    let texts: Vec<String> = available.into_iter().map(|(_, t)| t).collect();
-                    let partial = system.scores_from_transcripts(&target, &texts);
-                    let pairs: Vec<(usize, f64)> =
-                        indices.iter().copied().zip(partial.iter().copied()).collect();
-                    let (is_adversarial, tier) = policy.classify(&pairs);
-                    let mut scores = vec![None; n_aux];
-                    let mut aux_texts: Vec<Option<String>> = vec![None; n_aux];
-                    for ((&j, &s), text) in indices.iter().zip(partial.iter()).zip(texts) {
-                        if let Some(slot) = scores.get_mut(j) {
-                            *slot = Some(s);
-                        }
-                        if let Some(slot) = aux_texts.get_mut(j) {
-                            *slot = Some(text);
-                        }
-                    }
-                    (
-                        Verdict {
-                            is_adversarial: Some(is_adversarial),
-                            kind: VerdictKind::Degraded(tier),
-                            from_cache: false,
-                            scores,
-                            target_transcription: Some(target),
-                            // An auxiliary already missed its deadline;
-                            // modality scoring would only add latency to
-                            // an answer the fused classifier cannot use.
-                            modalities: Vec::new(),
-                            fused: false,
-                            early_exit: false,
-                            latency: Duration::ZERO,
-                        },
-                        aux_texts,
-                    )
-                }
-            }
-        };
-        // The mean-score threshold makes MeanThreshold verdicts
-        // reconstructible from the audit record alone.
-        let threshold = match verdict.kind {
-            VerdictKind::Degraded(FallbackTier::MeanThreshold) => policy.mean_threshold(),
-            _ => None,
-        };
-        for waiter in item.waiters {
-            let mut verdict = verdict.clone();
-            verdict.latency = waiter.submitted.elapsed();
-            match verdict.kind {
-                VerdictKind::Failed => {
-                    stats.deadline_failures.inc();
-                }
-                VerdictKind::Degraded(_) => {
-                    stats.degraded.inc();
-                }
-                VerdictKind::Full => {}
-            }
-            if verdict.fused {
-                stats.fused_verdicts.inc();
-            }
-            stats.latency.record(verdict.latency);
-            stats.completed.inc();
-            if let Some(audit) = audit {
-                let record = verdict_record(
-                    waiter.id,
-                    Some(batch_id),
-                    &verdict,
-                    &aux_texts,
-                    threshold,
-                    waiter.queued_us,
-                    &state.elapsed_us,
-                    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                );
-                let _ = audit.append(&record);
-            }
-            let _ = waiter.reply.send(verdict);
+    let mut detection = system.detect_from_transcripts(target, aux.into_iter().flatten().collect());
+    let Some((key, wave)) = &request.audio else {
+        return (Verdict::full(detection, Vec::new()), None);
+    };
+    if let (Some(cache), false) = (&shared.cache, request.from_cache) {
+        let (target, aux) = (&detection.target_transcription, &detection.auxiliary_transcriptions);
+        let vector: Vec<String> = std::iter::once(target).chain(aux).cloned().collect();
+        cache.with(|c| c.insert(*key, Arc::new(vector)));
+    }
+    if shared.modalities.is_empty() {
+        return (Verdict::full(detection, Vec::new()), None);
+    }
+    // Modality budgets run against the oldest waiter: the request that
+    // has waited longest decides how much patience is left.
+    let submitted = request.waiters.iter().map(|w| w.submitted).min().unwrap_or_else(Instant::now);
+    let reports = score_modalities(shared, wave, &detection.target_transcription, submitted);
+    if !shared.fused_capable {
+        return (Verdict::full(detection, reports), None);
+    }
+    match system.fused_classifier().filter(|_| reports.iter().all(|r| r.scored)) {
+        Some(fused) => {
+            let mut raw = detection.scores.clone();
+            raw.extend(reports.iter().flat_map(|r| r.features.iter().copied()));
+            detection.is_adversarial = fused.is_adversarial(&raw);
+            detection.fused = true;
+            (Verdict::full(detection, reports), None)
         }
+        None => {
+            let Detection { is_adversarial, scores, target_transcription: target, .. } = detection;
+            let (tier, scores) = (FallbackTier::SimilarityOnly, scores.into_iter().map(Some));
+            (Verdict::degraded(tier, is_adversarial, scores.collect(), target, reports), None)
+        }
+    }
+}
+
+/// Answers everyone waiting on `request` — the one place a verdict is
+/// made. `early` is a detection the early-exit rule fired before
+/// end-of-stream; without it the verdict is decided from the request's
+/// final transcripts. A request already answered early is left alone.
+fn finalize(shared: &Shared, request: &mut Request, early: Option<Detection>) {
+    let n_waiters = request.waiters.len();
+    if n_waiters == 0 {
+        return;
+    }
+    let _span = mvp_obs::span!("serve.finalize", request.id);
+    let started = Instant::now();
+    let stats = &shared.stats;
+    // Audit records carry the auxiliary transcripts the verdict read.
+    let aux_texts: Vec<Option<String>> = match (&shared.audit, &early) {
+        (None, _) => Vec::new(),
+        (Some(_), Some(d)) => d.auxiliary_transcriptions.iter().cloned().map(Some).collect(),
+        (Some(_), None) => request.texts.get(1..).unwrap_or_default().to_vec(),
+    };
+    let (mut verdict, threshold) = match early {
+        Some(detection) => {
+            stats.stream_early_exits.inc();
+            (Verdict::full(detection, Vec::new()), None)
+        }
+        None => decide(shared, request),
+    };
+    verdict.from_cache = request.from_cache;
+    let finalize_us = micros(started.elapsed());
+    let verdicts = std::iter::repeat_n(verdict, n_waiters);
+    for (waiter, mut verdict) in request.waiters.drain(..).zip(verdicts) {
+        verdict.latency = waiter.submitted.elapsed();
+        match verdict.kind {
+            VerdictKind::Failed => stats.deadline_failures.inc(),
+            VerdictKind::Degraded(_) => stats.degraded.inc(),
+            VerdictKind::Full => {}
+        }
+        if verdict.fused {
+            stats.fused_verdicts.inc();
+        }
+        stats.latency.record(verdict.latency);
+        stats.completed.inc();
+        if let Some(audit) = &shared.audit {
+            let record = verdict_record(
+                waiter.id,
+                request.batch,
+                &verdict,
+                &aux_texts,
+                threshold,
+                waiter.queued_us,
+                &request.transcribe_us,
+                finalize_us,
+            );
+            let _ = audit.append(&record);
+        }
+        let _ = waiter.reply.send(verdict);
     }
 }
 
@@ -1717,6 +1434,44 @@ mod tests {
         cache.with(|c| c.insert(2, Arc::new(vec!["b".into()])));
         assert!(cache.with(|c| c.get(&2).is_some()));
         assert_eq!(recovered.get(), 1);
+    }
+
+    #[test]
+    fn running_buffer_evaluates_each_chunk_once_on_same_chunk_transcripts() {
+        // Three recognisers report chunks 1..=4 in a scrambled order that
+        // keeps each recogniser's own reports in seq order (as worker
+        // FIFOs do). Recogniser r's transcript after chunk s is "r{r}s{s}"
+        // with 10*s + r frames decoded.
+        let order = [
+            (0, 1),
+            (0, 2),
+            (2, 1),
+            (0, 3),
+            (1, 1),
+            (2, 2),
+            (1, 2),
+            (1, 3),
+            (0, 4),
+            (2, 3),
+            (1, 4),
+            (2, 4),
+        ];
+        let mut buffer = RunningBuffer::default();
+        let mut evaluated = Vec::new();
+        for (r, s) in order {
+            let text = format!("r{r}s{s}");
+            for (least, texts) in buffer.record(3, r, s, 10 * s as usize + r, text) {
+                evaluated.push((least, texts));
+            }
+        }
+        let seqs: Vec<usize> = evaluated.iter().map(|(least, _)| least / 10).collect();
+        assert_eq!(seqs, [1, 2, 3, 4], "every chunk evaluated exactly once, in order");
+        for (s, (least, texts)) in (1..).zip(&evaluated) {
+            assert_eq!(*least, 10 * s, "least frames is the target's at chunk {s}");
+            let want: Vec<String> = (0..3).map(|r| format!("r{r}s{s}")).collect();
+            assert_eq!(texts, &want, "chunk {s} evaluated on its own transcripts");
+        }
+        assert!(buffer.chunks.is_empty(), "complete chunks are released");
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!   reconstructed offline.
 //!
 //! - **chunked ingress** — [`DetectionEngine::submit_stream`] feeds the
-//!   same workers one chunk at a time through a [`StreamHandle`]; with an
-//!   [`EngineConfig::early_exit`] rule the collector can answer
+//!   same workers one chunk at a time through a [`StreamHandle`] (a
+//!   one-shot submit is the same request lifecycle with one chunk); with
+//!   an [`EngineConfig::early_exit`] rule the collector can answer
 //!   `Adversarial` before end-of-stream, and with it off the chunked
 //!   verdict is byte-identical to the one-shot one;
 //! - a **shard router** — [`ShardRouter`] runs N engines behind a

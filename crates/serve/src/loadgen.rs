@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mvp_audio::Waveform;
+use mvp_obs::JsonObj;
 
 use crate::engine::{
     DetectionEngine, PendingVerdict, StreamHandle, SubmitError, Verdict, VerdictKind,
@@ -211,30 +212,26 @@ pub struct LoadReport {
 impl LoadReport {
     /// Renders the report as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":{:?},\"offered\":{},\"shed\":{},\"wall_secs\":{:.3},",
-                "\"throughput_rps\":{:.2},\"verdicts\":{{\"full\":{},\"cached\":{},",
-                "\"degraded\":{},\"failed\":{},\"flagged_adversarial\":{}}},",
-                "\"early_exits\":{},\"mean_verdict_audio_frac\":{:.4},",
-                "\"mean_time_to_verdict_us\":{:.1},",
-                "\"stats\":{}}}"
-            ),
-            self.name,
-            self.offered,
-            self.shed,
-            self.wall.as_secs_f64(),
-            self.throughput_rps,
-            self.tally.full,
-            self.tally.cached,
-            self.tally.degraded,
-            self.tally.failed,
-            self.tally.flagged_adversarial,
-            self.early_exits,
-            self.mean_verdict_audio_frac,
-            self.mean_time_to_verdict_us,
-            self.stats.to_json(),
-        )
+        let t = &self.tally;
+        let verdicts = JsonObj::new()
+            .u64("full", t.full)
+            .u64("cached", t.cached)
+            .u64("degraded", t.degraded)
+            .u64("failed", t.failed)
+            .u64("flagged_adversarial", t.flagged_adversarial)
+            .finish();
+        JsonObj::new()
+            .str("name", &self.name)
+            .u64("offered", self.offered as u64)
+            .u64("shed", self.shed)
+            .raw("wall_secs", &format!("{:.3}", self.wall.as_secs_f64()))
+            .raw("throughput_rps", &format!("{:.2}", self.throughput_rps))
+            .raw("verdicts", &verdicts)
+            .u64("early_exits", self.early_exits)
+            .raw("mean_verdict_audio_frac", &format!("{:.4}", self.mean_verdict_audio_frac))
+            .raw("mean_time_to_verdict_us", &format!("{:.1}", self.mean_time_to_verdict_us))
+            .raw("stats", &self.stats.to_json())
+            .finish()
     }
 }
 
@@ -280,6 +277,8 @@ pub fn run_load<T: LoadTarget + Sync + ?Sized>(
         }
     };
     let wall = started.elapsed();
+    let per_stream =
+        |sum: f64| if streamed.streams == 0 { 0.0 } else { sum / streamed.streams as f64 };
     LoadReport {
         name: spec.name.clone(),
         offered: spec.requests,
@@ -288,18 +287,20 @@ pub fn run_load<T: LoadTarget + Sync + ?Sized>(
         throughput_rps: tally.total() as f64 / wall.as_secs_f64().max(1e-9),
         tally,
         early_exits: streamed.early_exits,
-        mean_verdict_audio_frac: if streamed.streams == 0 {
-            0.0
-        } else {
-            streamed.frac_sum / streamed.streams as f64
-        },
-        mean_time_to_verdict_us: if streamed.streams == 0 {
-            0.0
-        } else {
-            streamed.ttv_us_sum as f64 / streamed.streams as f64
-        },
+        mean_verdict_audio_frac: per_stream(streamed.frac_sum),
+        mean_time_to_verdict_us: per_stream(streamed.ttv_us_sum as f64),
         stats: target.load_stats(),
     }
+}
+
+/// Runs `work(i)` for every `i` in `0..n` on its own scoped thread and
+/// returns the results in `i` order.
+fn fan_out<R: Send>(n: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || work(i))).collect();
+        handles.into_iter().map(|h| h.join().expect("load thread panicked")).collect()
+    })
 }
 
 fn run_closed<T: LoadTarget + Sync + ?Sized>(
@@ -310,38 +311,28 @@ fn run_closed<T: LoadTarget + Sync + ?Sized>(
 ) -> (VerdictTally, u64) {
     let concurrency = concurrency.max(1);
     let mut tally = VerdictTally::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..concurrency)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut local = VerdictTally::default();
-                    // Striped assignment keeps the per-worker sequence
-                    // deterministic regardless of thread interleaving.
-                    for &corpus_idx in schedule.iter().skip(worker).step_by(concurrency) {
-                        loop {
-                            match target.submit_wave(Arc::clone(&corpus[corpus_idx])) {
-                                Ok(pending) => {
-                                    local.absorb(&pending.wait());
-                                    break;
-                                }
-                                // Closed-loop back-off: with concurrency
-                                // bounded, shedding only happens when the
-                                // queue is tiny; retry until accepted.
-                                Err(SubmitError::Overloaded) => {
-                                    std::thread::sleep(Duration::from_micros(200));
-                                }
-                                Err(SubmitError::Closed) => return local,
-                            }
-                        }
+    let tallies = fan_out(concurrency, |worker| {
+        let mut local = VerdictTally::default();
+        // Striped assignment keeps the per-worker sequence deterministic
+        // regardless of thread interleaving.
+        for &corpus_idx in schedule.iter().skip(worker).step_by(concurrency) {
+            loop {
+                match target.submit_wave(Arc::clone(&corpus[corpus_idx])) {
+                    Ok(pending) => {
+                        local.absorb(&pending.wait());
+                        break;
                     }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            tally.merge(handle.join().expect("closed-loop worker panicked"));
+                    // Closed-loop back-off: with concurrency bounded,
+                    // shedding only happens when the queue is tiny; retry
+                    // until accepted.
+                    Err(SubmitError::Overloaded) => std::thread::sleep(Duration::from_micros(200)),
+                    Err(SubmitError::Closed) => return local,
+                }
+            }
         }
+        local
     });
+    tallies.into_iter().for_each(|local| tally.merge(local));
     (tally, 0)
 }
 
@@ -419,82 +410,54 @@ fn run_streaming<T: LoadTarget + Sync + ?Sized>(
 ) -> (VerdictTally, StreamTally) {
     let concurrency = concurrency.max(1);
     let chunk_ms = chunk_ms.max(1);
+    let chunk_dur = Duration::from_millis(chunk_ms);
     let mut tally = VerdictTally::default();
     let mut streamed = StreamTally::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..concurrency)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut local = VerdictTally::default();
-                    let mut local_stream = StreamTally::default();
-                    for &corpus_idx in schedule.iter().skip(worker).step_by(concurrency) {
-                        let wave = &corpus[corpus_idx];
-                        let chunk =
-                            ((u64::from(wave.sample_rate()) * chunk_ms / 1000).max(1)) as usize;
-                        let mut handle = match target.open_stream() {
-                            Ok(handle) => handle,
-                            Err(_) => return (local, local_stream),
-                        };
-                        let samples = wave.samples();
-                        let n_chunks = samples.chunks(chunk).len();
-                        let chunk_dur = Duration::from_millis(chunk_ms);
-                        let opened = Instant::now();
-                        let mut consumed = 0usize;
-                        let mut early = false;
-                        for (ci, c) in samples.chunks(chunk).enumerate() {
-                            if handle.push(c).is_err() {
-                                break;
-                            }
-                            consumed += c.len();
-                            if ci + 1 == n_chunks {
-                                break;
-                            }
-                            // Pace to real time: the next chunk only
-                            // exists after its audio has elapsed. Poll
-                            // for an early verdict while waiting.
-                            let due = opened + chunk_dur * (ci as u32 + 1);
-                            loop {
-                                if handle.try_verdict().is_some() {
-                                    // The verdict is settled: stop paying
-                                    // for audio the detector no longer
-                                    // needs.
-                                    early = true;
-                                    break;
-                                }
-                                let now = Instant::now();
-                                if now >= due {
-                                    break;
-                                }
-                                std::thread::sleep((due - now).min(Duration::from_millis(2)));
-                            }
-                            if early {
-                                break;
-                            }
-                        }
-                        let verdict = match handle.finish() {
-                            Ok(verdict) => verdict,
-                            Err(_) => return (local, local_stream),
-                        };
-                        local.absorb(&verdict);
-                        local_stream.streams += 1;
-                        if verdict.early_exit {
-                            local_stream.early_exits += 1;
-                        }
-                        local_stream.frac_sum +=
-                            if early { consumed as f64 / samples.len().max(1) as f64 } else { 1.0 };
-                        local_stream.ttv_us_sum +=
-                            verdict.latency.as_micros().min(u128::from(u64::MAX)) as u64;
-                    }
-                    (local, local_stream)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (local, local_stream) = handle.join().expect("streaming worker panicked");
-            tally.merge(local);
-            streamed.merge(local_stream);
+    let tallies = fan_out(concurrency, |worker| {
+        let (mut local, mut local_stream) = (VerdictTally::default(), StreamTally::default());
+        for &corpus_idx in schedule.iter().skip(worker).step_by(concurrency) {
+            let wave = &corpus[corpus_idx];
+            let chunk = ((u64::from(wave.sample_rate()) * chunk_ms / 1000).max(1)) as usize;
+            let Ok(mut handle) = target.open_stream() else { break };
+            let samples = wave.samples();
+            let opened = Instant::now();
+            let (mut consumed, mut early) = (0usize, false);
+            for (ci, c) in samples.chunks(chunk).enumerate() {
+                if handle.push(c).is_err() {
+                    break;
+                }
+                consumed += c.len();
+                if consumed == samples.len() {
+                    break;
+                }
+                // Pace to real time: the next chunk only exists after its
+                // audio has elapsed. Poll for an early verdict while
+                // waiting; once it is settled, stop paying for audio the
+                // detector no longer needs.
+                let due = opened + chunk_dur * (ci as u32 + 1);
+                while handle.try_verdict().is_none() && Instant::now() < due {
+                    let left = due.saturating_duration_since(Instant::now());
+                    std::thread::sleep(left.min(Duration::from_millis(2)));
+                }
+                early = handle.try_verdict().is_some();
+                if early {
+                    break;
+                }
+            }
+            let Ok(verdict) = handle.finish() else { break };
+            local.absorb(&verdict);
+            local_stream.streams += 1;
+            local_stream.early_exits += u64::from(verdict.early_exit);
+            local_stream.frac_sum +=
+                if early { consumed as f64 / samples.len().max(1) as f64 } else { 1.0 };
+            local_stream.ttv_us_sum += verdict.latency.as_micros().min(u128::from(u64::MAX)) as u64;
         }
+        (local, local_stream)
     });
+    for (local, local_stream) in tallies {
+        tally.merge(local);
+        streamed.merge(local_stream);
+    }
     (tally, streamed)
 }
 

@@ -207,8 +207,8 @@ impl ShardRouter {
         self.shards.iter().map(DetectionEngine::stats).collect()
     }
 
-    /// Aggregate metrics across shards (see [`StatsSnapshot::merged`]
-    /// for the quantile caveat).
+    /// Aggregate metrics across shards (see [`StatsSnapshot::merged`]:
+    /// latency quantiles are exact over every shard's samples).
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::merged(&self.shard_stats())
     }

@@ -9,105 +9,153 @@
 use std::sync::Arc;
 
 use mvp_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use mvp_obs::JsonObj;
 
 /// The serve latency histogram. Retained name from the pre-registry
 /// implementation; the type now lives in `mvp_obs`.
 pub use mvp_obs::metrics::Histogram as LatencyHistogram;
 
-/// Cumulative engine counters, registry-backed. All handles are
-/// thread-safe; counters are monotone, `queue_depth` moves both ways.
-#[derive(Debug)]
-pub struct ServeStats {
-    registry: Arc<Registry>,
+/// Declares the engine's monotone counters once. Each becomes a
+/// registry-backed [`ServeStats`] handle, a [`StatsSnapshot`] field, a
+/// summand of [`StatsSnapshot::merged`] and a key of
+/// [`StatsSnapshot::to_json`].
+macro_rules! counters {
+    ($($(#[$doc:meta])* $field:ident: $metric:literal, $help:literal;)*) => {
+        /// Cumulative engine counters, registry-backed. All handles are
+        /// thread-safe; counters are monotone, `queue_depth` moves both
+        /// ways.
+        #[derive(Debug)]
+        pub struct ServeStats {
+            registry: Arc<Registry>,
+            $($(#[$doc])* pub $field: Counter,)*
+            /// Total requests across dispatched batches (for mean batch
+            /// size).
+            pub batched_requests: Counter,
+            /// Current ingress queue depth.
+            pub queue_depth: Gauge,
+            /// End-to-end latency of answered requests.
+            pub latency: Histogram,
+        }
+
+        impl ServeStats {
+            /// Creates zeroed stats backed by a fresh registry.
+            pub fn new() -> ServeStats {
+                let registry = Arc::new(Registry::new());
+                ServeStats {
+                    $($field: registry.counter($metric, $help),)*
+                    batched_requests: registry
+                        .counter("serve_batched_requests_total", "requests across dispatched batches"),
+                    queue_depth: registry.gauge("serve_queue_depth", "current ingress queue depth"),
+                    latency: registry
+                        .histogram("serve_latency_micros", "end-to-end request latency in microseconds"),
+                    registry,
+                }
+            }
+
+            /// Takes a point-in-time copy of every metric.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let batches = self.batches.get();
+                let buckets = self.latency.buckets();
+                let quantile = |q| Histogram::bucket_quantile(&buckets, q);
+                StatsSnapshot {
+                    $($field: self.$field.get(),)*
+                    queue_depth: self.queue_depth.get(),
+                    mean_batch_size: if batches == 0 {
+                        0.0
+                    } else {
+                        self.batched_requests.get() as f64 / batches as f64
+                    },
+                    latency_mean_micros: self.latency.mean_micros(),
+                    latency_p50_micros: quantile(0.50),
+                    latency_p95_micros: quantile(0.95),
+                    latency_p99_micros: quantile(0.99),
+                    latency_max_micros: self.latency.max_micros(),
+                    latency_buckets: buckets,
+                }
+            }
+        }
+
+        /// A point-in-time copy of the engine metrics.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Ingress queue depth at snapshot time.
+            pub queue_depth: u64,
+            /// Mean requests per dispatched batch.
+            pub mean_batch_size: f64,
+            /// Mean end-to-end latency (µs).
+            pub latency_mean_micros: f64,
+            /// Median end-to-end latency (µs, bucket upper edge).
+            pub latency_p50_micros: u64,
+            /// 95th-percentile latency (µs, bucket upper edge).
+            pub latency_p95_micros: u64,
+            /// 99th-percentile latency (µs, bucket upper edge).
+            pub latency_p99_micros: u64,
+            /// Maximum observed latency (µs).
+            pub latency_max_micros: u64,
+            /// Raw latency-histogram bucket counts (see
+            /// [`Histogram::buckets`]), so [`merged`](Self::merged) can
+            /// add shards exactly.
+            pub latency_buckets: Vec<u64>,
+        }
+
+        impl StatsSnapshot {
+            /// Adds every counter of `other` into `self`.
+            fn add_counters(&mut self, other: &StatsSnapshot) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// `obj` with every counter appended under its field name.
+            fn counters_json(&self, obj: JsonObj) -> JsonObj {
+                obj$(.u64(stringify!($field), self.$field))*
+            }
+        }
+    };
+}
+
+counters! {
     /// Requests accepted into the ingress queue.
-    pub submitted: Counter,
+    submitted: "serve_submitted_total", "requests accepted into the ingress queue";
     /// Requests rejected by backpressure (queue full).
-    pub shed: Counter,
+    shed: "serve_shed_total", "requests rejected by backpressure";
     /// Requests answered (with any verdict).
-    pub completed: Counter,
-    /// Requests answered in degraded mode (≥ 1 auxiliary dropped).
-    pub degraded: Counter,
+    completed: "serve_completed_total", "requests answered";
+    /// Requests answered in degraded mode (≥ 1 auxiliary or modality
+    /// dropped).
+    degraded: "serve_degraded_total", "requests answered degraded";
     /// Requests that failed outright (target ASR missed the deadline).
-    pub deadline_failures: Counter,
+    deadline_failures: "serve_deadline_failures_total", "requests failed on target deadline";
     /// Cache lookups performed.
-    pub cache_lookups: Counter,
+    cache_lookups: "serve_cache_lookups_total", "transcription cache lookups";
     /// Cache lookups that hit.
-    pub cache_hits: Counter,
+    cache_hits: "serve_cache_hits_total", "transcription cache hits";
     /// Times a poisoned cache lock was recovered (a worker panicked
     /// while holding it and the engine carried on).
-    pub cache_poison_recovered: Counter,
-    /// Current ingress queue depth.
-    pub queue_depth: Gauge,
+    cache_poison_recovered: "serve_cache_poison_recovered_total",
+        "poisoned cache locks recovered after a worker panic";
     /// Batches dispatched to workers.
-    pub batches: Counter,
-    /// Total requests across dispatched batches (for mean batch size).
-    pub batched_requests: Counter,
+    batches: "serve_batches_total", "micro-batches dispatched";
     /// Modality evaluations completed (one per modality per request).
-    pub modality_scored: Counter,
+    modality_scored: "serve_modality_scored_total", "modality evaluations completed";
     /// Modality evaluations skipped because the per-request budget was
     /// already spent (or the modality was disabled with a zero budget).
-    pub modality_budget_missed: Counter,
+    modality_budget_missed: "serve_modality_budget_missed_total",
+        "modality evaluations skipped on a spent per-request budget";
     /// Requests answered by the fused similarity + modality classifier.
-    pub fused_verdicts: Counter,
+    fused_verdicts: "serve_fused_verdicts_total", "requests answered by the fused classifier";
     /// Chunked-ingress streams opened.
-    pub streams_opened: Counter,
+    streams_opened: "serve_streams_opened_total", "chunked-ingress streams opened";
     /// Stream chunks pushed across all streams.
-    pub stream_chunks: Counter,
+    stream_chunks: "serve_stream_chunks_total", "stream chunks pushed";
     /// Streams answered early by the early-exit rule.
-    pub stream_early_exits: Counter,
-    /// Streams fully finished (every recogniser flushed), whether the
-    /// verdict was early or settled at end-of-stream.
-    pub streams_completed: Counter,
-    /// End-to-end latency of answered requests.
-    pub latency: Histogram,
+    stream_early_exits: "serve_stream_early_exits_total",
+        "streams answered early by the early-exit rule";
+    /// Streams fully finished, whether the verdict was early or settled
+    /// at end-of-stream.
+    streams_completed: "serve_streams_completed_total", "streams fully finished";
 }
 
 impl ServeStats {
-    /// Creates zeroed stats backed by a fresh registry.
-    pub fn new() -> ServeStats {
-        let registry = Arc::new(Registry::new());
-        ServeStats {
-            submitted: registry
-                .counter("serve_submitted_total", "requests accepted into the ingress queue"),
-            shed: registry.counter("serve_shed_total", "requests rejected by backpressure"),
-            completed: registry.counter("serve_completed_total", "requests answered"),
-            degraded: registry.counter("serve_degraded_total", "requests answered degraded"),
-            deadline_failures: registry
-                .counter("serve_deadline_failures_total", "requests failed on target deadline"),
-            cache_lookups: registry
-                .counter("serve_cache_lookups_total", "transcription cache lookups"),
-            cache_hits: registry.counter("serve_cache_hits_total", "transcription cache hits"),
-            cache_poison_recovered: registry.counter(
-                "serve_cache_poison_recovered_total",
-                "poisoned cache locks recovered after a worker panic",
-            ),
-            queue_depth: registry.gauge("serve_queue_depth", "current ingress queue depth"),
-            batches: registry.counter("serve_batches_total", "micro-batches dispatched"),
-            batched_requests: registry
-                .counter("serve_batched_requests_total", "requests across dispatched batches"),
-            modality_scored: registry
-                .counter("serve_modality_scored_total", "modality evaluations completed"),
-            modality_budget_missed: registry.counter(
-                "serve_modality_budget_missed_total",
-                "modality evaluations skipped on a spent per-request budget",
-            ),
-            fused_verdicts: registry
-                .counter("serve_fused_verdicts_total", "requests answered by the fused classifier"),
-            streams_opened: registry
-                .counter("serve_streams_opened_total", "chunked-ingress streams opened"),
-            stream_chunks: registry.counter("serve_stream_chunks_total", "stream chunks pushed"),
-            stream_early_exits: registry.counter(
-                "serve_stream_early_exits_total",
-                "streams answered early by the early-exit rule",
-            ),
-            streams_completed: registry
-                .counter("serve_streams_completed_total", "streams fully finished"),
-            latency: registry
-                .histogram("serve_latency_micros", "end-to-end request latency in microseconds"),
-            registry,
-        }
-    }
-
     /// The registry backing every metric; render it for exposition or
     /// hand it to an [`mvp_obs::SnapshotWriter`].
     pub fn registry(&self) -> &Arc<Registry> {
@@ -118,97 +166,12 @@ impl ServeStats {
     pub fn render_text(&self) -> String {
         self.registry.render_text()
     }
-
-    /// Takes a point-in-time copy of every metric.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let batches = self.batches.get();
-        StatsSnapshot {
-            submitted: self.submitted.get(),
-            shed: self.shed.get(),
-            completed: self.completed.get(),
-            degraded: self.degraded.get(),
-            deadline_failures: self.deadline_failures.get(),
-            cache_lookups: self.cache_lookups.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_poison_recovered: self.cache_poison_recovered.get(),
-            queue_depth: self.queue_depth.get(),
-            batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                self.batched_requests.get() as f64 / batches as f64
-            },
-            modality_scored: self.modality_scored.get(),
-            modality_budget_missed: self.modality_budget_missed.get(),
-            fused_verdicts: self.fused_verdicts.get(),
-            streams_opened: self.streams_opened.get(),
-            stream_chunks: self.stream_chunks.get(),
-            stream_early_exits: self.stream_early_exits.get(),
-            streams_completed: self.streams_completed.get(),
-            latency_mean_micros: self.latency.mean_micros(),
-            latency_p50_micros: self.latency.quantile_micros(0.50),
-            latency_p95_micros: self.latency.quantile_micros(0.95),
-            latency_p99_micros: self.latency.quantile_micros(0.99),
-            latency_max_micros: self.latency.max_micros(),
-        }
-    }
 }
 
 impl Default for ServeStats {
     fn default() -> ServeStats {
         ServeStats::new()
     }
-}
-
-/// A point-in-time copy of the engine metrics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsSnapshot {
-    /// Requests accepted into the ingress queue.
-    pub submitted: u64,
-    /// Requests rejected by backpressure.
-    pub shed: u64,
-    /// Requests answered.
-    pub completed: u64,
-    /// Requests answered in degraded mode.
-    pub degraded: u64,
-    /// Requests failed because the target ASR missed the deadline.
-    pub deadline_failures: u64,
-    /// Cache lookups performed.
-    pub cache_lookups: u64,
-    /// Cache lookups that hit.
-    pub cache_hits: u64,
-    /// Poisoned cache locks recovered.
-    pub cache_poison_recovered: u64,
-    /// Ingress queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Mean requests per dispatched batch.
-    pub mean_batch_size: f64,
-    /// Modality evaluations completed.
-    pub modality_scored: u64,
-    /// Modality evaluations skipped on a spent budget.
-    pub modality_budget_missed: u64,
-    /// Requests answered by the fused classifier.
-    pub fused_verdicts: u64,
-    /// Chunked-ingress streams opened.
-    pub streams_opened: u64,
-    /// Stream chunks pushed.
-    pub stream_chunks: u64,
-    /// Streams answered early by the early-exit rule.
-    pub stream_early_exits: u64,
-    /// Streams fully finished.
-    pub streams_completed: u64,
-    /// Mean end-to-end latency (µs).
-    pub latency_mean_micros: f64,
-    /// Median end-to-end latency (µs, bucket upper edge).
-    pub latency_p50_micros: u64,
-    /// 95th-percentile latency (µs, bucket upper edge).
-    pub latency_p95_micros: u64,
-    /// 99th-percentile latency (µs, bucket upper edge).
-    pub latency_p99_micros: u64,
-    /// Maximum observed latency (µs).
-    pub latency_max_micros: u64,
 }
 
 impl StatsSnapshot {
@@ -224,38 +187,25 @@ impl StatsSnapshot {
     /// Merges per-shard snapshots into one aggregate view. Counters and
     /// gauges sum; `mean_batch_size` and `latency_mean_micros` are
     /// weighted means (by batches and completed requests respectively);
-    /// latency quantiles and max take the worst shard — exact histogram
-    /// merging would need the raw buckets, and a cross-shard p99 is
-    /// upper-bounded by the worst per-shard p99, which is the
-    /// conservative number an operator wants anyway.
+    /// the latency histograms add bucket by bucket — their edges are
+    /// fixed, so the merged quantiles are exactly those of one histogram
+    /// fed every shard's samples — and max takes the worst shard.
     pub fn merged(shards: &[StatsSnapshot]) -> StatsSnapshot {
         let mut out = StatsSnapshot::default();
         let mut batch_requests = 0.0f64;
         let mut latency_sum = 0.0f64;
         for s in shards {
-            out.submitted += s.submitted;
-            out.shed += s.shed;
-            out.completed += s.completed;
-            out.degraded += s.degraded;
-            out.deadline_failures += s.deadline_failures;
-            out.cache_lookups += s.cache_lookups;
-            out.cache_hits += s.cache_hits;
-            out.cache_poison_recovered += s.cache_poison_recovered;
+            out.add_counters(s);
             out.queue_depth += s.queue_depth;
-            out.batches += s.batches;
             batch_requests += s.mean_batch_size * s.batches as f64;
-            out.modality_scored += s.modality_scored;
-            out.modality_budget_missed += s.modality_budget_missed;
-            out.fused_verdicts += s.fused_verdicts;
-            out.streams_opened += s.streams_opened;
-            out.stream_chunks += s.stream_chunks;
-            out.stream_early_exits += s.stream_early_exits;
-            out.streams_completed += s.streams_completed;
             latency_sum += s.latency_mean_micros * s.completed as f64;
-            out.latency_p50_micros = out.latency_p50_micros.max(s.latency_p50_micros);
-            out.latency_p95_micros = out.latency_p95_micros.max(s.latency_p95_micros);
-            out.latency_p99_micros = out.latency_p99_micros.max(s.latency_p99_micros);
             out.latency_max_micros = out.latency_max_micros.max(s.latency_max_micros);
+            if out.latency_buckets.len() < s.latency_buckets.len() {
+                out.latency_buckets.resize(s.latency_buckets.len(), 0);
+            }
+            for (sum, count) in out.latency_buckets.iter_mut().zip(&s.latency_buckets) {
+                *sum += count;
+            }
         }
         if out.batches > 0 {
             out.mean_batch_size = batch_requests / out.batches as f64;
@@ -263,51 +213,26 @@ impl StatsSnapshot {
         if out.completed > 0 {
             out.latency_mean_micros = latency_sum / out.completed as f64;
         }
+        let quantile = |q| Histogram::bucket_quantile(&out.latency_buckets, q);
+        (out.latency_p50_micros, out.latency_p95_micros, out.latency_p99_micros) =
+            (quantile(0.50), quantile(0.95), quantile(0.99));
         out
     }
 
-    /// Renders the snapshot as a JSON object (the repo has no serde; the
-    /// field set is flat, so hand-rolling is trivial and dependency-free).
+    /// Renders the snapshot as a flat JSON object: every counter under
+    /// its field name, plus the hit rate, queue depth, mean batch size
+    /// and latency summary (raw buckets are left out).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"submitted\":{},\"shed\":{},\"completed\":{},\"degraded\":{},",
-                "\"deadline_failures\":{},\"cache_lookups\":{},\"cache_hits\":{},",
-                "\"cache_hit_rate\":{:.4},\"cache_poison_recovered\":{},",
-                "\"queue_depth\":{},\"batches\":{},",
-                "\"mean_batch_size\":{:.3},\"modality_scored\":{},",
-                "\"modality_budget_missed\":{},\"fused_verdicts\":{},",
-                "\"streams_opened\":{},\"stream_chunks\":{},",
-                "\"stream_early_exits\":{},\"streams_completed\":{},",
-                "\"latency_mean_us\":{:.1},",
-                "\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{},",
-                "\"latency_max_us\":{}}}"
-            ),
-            self.submitted,
-            self.shed,
-            self.completed,
-            self.degraded,
-            self.deadline_failures,
-            self.cache_lookups,
-            self.cache_hits,
-            self.cache_hit_rate(),
-            self.cache_poison_recovered,
-            self.queue_depth,
-            self.batches,
-            self.mean_batch_size,
-            self.modality_scored,
-            self.modality_budget_missed,
-            self.fused_verdicts,
-            self.streams_opened,
-            self.stream_chunks,
-            self.stream_early_exits,
-            self.streams_completed,
-            self.latency_mean_micros,
-            self.latency_p50_micros,
-            self.latency_p95_micros,
-            self.latency_p99_micros,
-            self.latency_max_micros,
-        )
+        self.counters_json(JsonObj::new())
+            .raw("cache_hit_rate", &format!("{:.4}", self.cache_hit_rate()))
+            .u64("queue_depth", self.queue_depth)
+            .raw("mean_batch_size", &format!("{:.3}", self.mean_batch_size))
+            .raw("latency_mean_us", &format!("{:.1}", self.latency_mean_micros))
+            .u64("latency_p50_us", self.latency_p50_micros)
+            .u64("latency_p95_us", self.latency_p95_micros)
+            .u64("latency_p99_us", self.latency_p99_micros)
+            .u64("latency_max_us", self.latency_max_micros)
+            .finish()
     }
 }
 
@@ -383,8 +308,37 @@ mod tests {
         assert!(text.contains("serve_latency_micros_sum 900"));
     }
 
+    proptest::proptest! {
+        #[test]
+        fn merged_quantiles_equal_one_histogram_over_the_union(
+            shards in proptest::collection::vec(
+                proptest::collection::vec(0u64..50_000_000, 0..40),
+                1..5,
+            )
+        ) {
+            let union = ServeStats::new();
+            let snapshots: Vec<StatsSnapshot> = shards
+                .iter()
+                .map(|samples| {
+                    let shard = ServeStats::new();
+                    for &us in samples {
+                        shard.latency.record_value(us);
+                        union.latency.record_value(us);
+                    }
+                    shard.snapshot()
+                })
+                .collect();
+            let (merged, whole) = (StatsSnapshot::merged(&snapshots), union.snapshot());
+            proptest::prop_assert_eq!(&merged.latency_buckets, &whole.latency_buckets);
+            proptest::prop_assert_eq!(merged.latency_p50_micros, whole.latency_p50_micros);
+            proptest::prop_assert_eq!(merged.latency_p95_micros, whole.latency_p95_micros);
+            proptest::prop_assert_eq!(merged.latency_p99_micros, whole.latency_p99_micros);
+            proptest::prop_assert_eq!(merged.latency_max_micros, whole.latency_max_micros);
+        }
+    }
+
     #[test]
-    fn merged_sums_counters_and_takes_worst_tails() {
+    fn merged_sums_counters_and_merges_tails() {
         let a = ServeStats::new();
         a.submitted.add(4);
         a.completed.add(4);

@@ -8,6 +8,10 @@ cargo fmt --check
 RUSTFLAGS="-Dwarnings" cargo build --release
 cargo test -q
 
+# The serving benchmark is a package of its own; its unit tests compile
+# against the mvp-serve API it drives, so an API break fails here.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # Static-analysis gate: the workspace's own invariants (data-plane Mat
 # discipline, serve-path panic freedom via the workspace call graph,
 # NaN-safe comparators, allocation-free kernel hot paths, artifact

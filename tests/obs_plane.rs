@@ -199,6 +199,31 @@ fn shed_requests_are_audited() {
 }
 
 #[test]
+fn streams_and_one_shots_share_one_request_id_space() {
+    let system = trained_system();
+    let waves = test_waves(1);
+    let (audit, path) = audit_log("ids");
+
+    let policy = DegradePolicy::untrained(system.n_auxiliaries());
+    let config =
+        EngineConfig { deadline_ms: 60_000, audit: Some(audit), ..EngineConfig::default() };
+    let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
+    engine.detect_blocking(Arc::clone(&waves[0])).expect("accepted");
+    let mut stream = engine.submit_stream().expect("stream accepted");
+    stream.push(waves[0].samples()).expect("chunk accepted");
+    let stream_id = stream.id();
+    stream.finish().expect("stream answered");
+    engine.shutdown();
+
+    let records = read_records(&path);
+    let ids: Vec<f64> =
+        records.iter().map(|r| r.get("request").unwrap().as_f64().unwrap()).collect();
+    assert_eq!(ids.len(), 2, "one record per verdict");
+    assert_ne!(ids[0], ids[1], "a stream and a one-shot must not share an audit request id");
+    assert!(ids.contains(&(stream_id as f64)), "the stream's record carries its handle id");
+}
+
+#[test]
 fn exposition_agrees_with_snapshot() {
     let system = trained_system();
     let waves = test_waves(2);

@@ -243,6 +243,40 @@ fn early_exit_never_fires_benign_before_end_of_stream() {
 }
 
 #[test]
+fn streams_degrade_like_one_shots_when_an_auxiliary_is_disabled() {
+    // A stream is one request lifecycle like a one-shot submit: the
+    // disabled auxiliary is never dispatched, its deadline passes at
+    // finish, and the degrade policy answers.
+    let system = trained_system();
+    let n_aux = system.n_auxiliaries();
+    let (benign, aes) = training_scores(n_aux);
+    let policy = DegradePolicy::trained(n_aux, &benign, &aes, ClassifierKind::Knn, 0.05);
+    let config = EngineConfig { aux_deadline_ms: vec![Some(0)], ..no_deadline_config() };
+    let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
+
+    let corpus =
+        CorpusBuilder::new(CorpusConfig { size: 1, seed: 913, ..CorpusConfig::default() }).build();
+    let wave = &corpus.utterances()[0].wave;
+    let streamed = stream_in_chunks(&engine, wave, &[1_600]);
+    let subset = mvp_ears_suite::serve::FallbackTier::SubsetClassifier;
+    assert_eq!(streamed.kind, VerdictKind::Degraded(subset));
+    assert!(streamed.is_adversarial.is_some());
+    assert_eq!(streamed.scores[0], None, "disabled auxiliary must not score");
+    assert!(streamed.scores[1].is_some());
+
+    // The same audio submitted one-shot gets the same degraded verdict.
+    let one_shot = engine.detect_blocking(wave.clone()).expect("accepted");
+    assert_eq!(one_shot.kind, streamed.kind);
+    assert_eq!(one_shot.is_adversarial, streamed.is_adversarial);
+    assert_eq!(one_shot.scores, streamed.scores);
+
+    let stats = engine.stats();
+    assert_eq!(stats.degraded, 2);
+    assert_eq!(stats.streams_completed, 1);
+    engine.shutdown();
+}
+
+#[test]
 fn wait_timeout_returns_the_ticket_then_the_verdict() {
     let system = trained_system();
     let policy = DegradePolicy::untrained(system.n_auxiliaries());
