@@ -9,7 +9,7 @@
 //! through its own acoustic model and feature geometry), producing real
 //! transferable audio AEs — which makes it possible to test the proactive
 //! detector of §V-H against actual audio instead of synthetic vectors (see
-//! the `exp_adaptive` experiment).
+//! the `adaptive` experiment of `run_all`).
 
 use mvp_asr::{Asr, TrainedAsr};
 use mvp_audio::Waveform;

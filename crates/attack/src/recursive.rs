@@ -66,7 +66,7 @@ mod tests {
             assert!(out.final_fools_b);
         }
         // Whether it *also* still fools the first model is the §III
-        // transferability question; `exp_transfer` reports the measured
+        // transferability question; `run_all transfer` reports the measured
         // rate (the paper found essentially none). Twice-optimised audio is
         // the loudest AE this workspace produces, so no strict assertion
         // here — only consistency of the outcome record.

@@ -1,39 +1,43 @@
-//! Runs the complete evaluation: every table and figure in order.
+//! Runs the evaluation: every experiment in paper order, or only the ones
+//! named (`run_all table3 fig5`; see `mvp_bench::experiments::EXPERIMENTS`).
+//! An unknown name exits 2 and lists the valid ones.
+//!
+//! `run_all --gate` is the CI gate: it runs the gated experiments at tiny
+//! scale, artifacts in a scratch directory, and exits 1 on the first
+//! figure outside its bound in `mvp_bench::gate::GATES`.
 //!
 //! Scale via `MVP_EARS_SCALE` (tiny / quick / full).
 
-use mvp_bench::experiments;
-use mvp_bench::{ExperimentContext, Scale};
+use std::process::ExitCode;
 
-fn main() {
+use mvp_bench::{experiments, gate, ExperimentContext, Scale};
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args == ["--gate"] {
+        return match gate::run_gates() {
+            Ok(()) => {
+                println!("gate: PASS");
+                ExitCode::SUCCESS
+            }
+            Err(msg) => {
+                eprintln!("gate: FAIL: {msg}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    let selected = match experiments::select(&args) {
+        Ok(selected) => selected,
+        Err(msg) => {
+            eprintln!("run_all: {msg}");
+            return ExitCode::from(2);
+        }
+    };
     let scale = Scale::from_env();
-    println!("MVP-EARS evaluation at scale {:?}\n", scale.name);
+    eprintln!("MVP-EARS evaluation at scale {:?}\n", scale.name);
     let ctx = ExperimentContext::load_or_generate(scale);
-    experiments::data::table1(&ctx);
-    experiments::data::table2(&ctx);
-    experiments::data::fig4(&ctx);
-    experiments::similarity::table3(&ctx);
-    experiments::classifiers::table4(&ctx);
-    experiments::classifiers::table5(&ctx);
-    experiments::classifiers::table6(&ctx);
-    experiments::unseen::table7(&ctx);
-    experiments::unseen::fig5(&ctx);
-    experiments::unseen::table8(&ctx);
-    experiments::mae::table9(&ctx);
-    experiments::mae::table10(&ctx);
-    experiments::mae::table11(&ctx);
-    experiments::mae::table12(&ctx);
-    experiments::perf::overhead(&ctx);
-    experiments::unseen::nontargeted(&ctx);
-    experiments::transfer::transfer(&ctx);
-    experiments::adaptive::adaptive(&ctx);
-    experiments::ablation::encoder_ablation(&ctx);
-    experiments::ablation::baseline_comparison(&ctx);
-    experiments::ablation::min_run_ablation(&ctx);
-    experiments::modality::run_modality_bench(&ctx);
-    experiments::serve::run_serve_bench(&ctx);
-    experiments::obs::run_obs_bench(&ctx);
-    experiments::dataplane::run_dataplane_bench(&ctx);
-    experiments::artifact::run_artifact_bench(&ctx);
-    experiments::quant::run_quant_bench(&ctx);
+    for (_, run) in selected {
+        run.run(&ctx);
+    }
+    ExitCode::SUCCESS
 }

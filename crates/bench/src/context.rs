@@ -38,6 +38,10 @@ pub struct ExperimentContext {
     pub benign: SpeechCorpus,
     /// Verified AEs (white-box first, then black-box), with stable ids.
     pub aes: Vec<(String, GeneratedAe)>,
+    /// Where [`ExperimentContext::write_artifact`] puts `BENCH_*.json`
+    /// files: the working directory, or a scratch directory for a gate
+    /// run, so a gate run never overwrites a committed artifact.
+    pub out_dir: PathBuf,
     transcripts: HashMap<(String, &'static str), String>,
 }
 
@@ -73,7 +77,13 @@ impl ExperimentContext {
         .build();
 
         let aes = Self::load_or_generate_aes(&scale, &dir);
-        let mut ctx = ExperimentContext { scale, benign, aes, transcripts: HashMap::new() };
+        let mut ctx = ExperimentContext {
+            scale,
+            benign,
+            aes,
+            out_dir: PathBuf::from("."),
+            transcripts: HashMap::new(),
+        };
         ctx.load_or_generate_transcripts(&dir);
         ctx
     }
@@ -81,6 +91,19 @@ impl ExperimentContext {
     /// This scale's ASR model directory (`data/<scale>/models/`).
     pub fn models_dir(&self) -> PathBuf {
         models_dir(&self.scale)
+    }
+
+    /// Writes one bench artifact (`BENCH_*.json`) under [`Self::out_dir`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the write fails, so a run never exits 0 while leaving a
+    /// stale artifact behind.
+    pub fn write_artifact(&self, name: &str, json: &str) {
+        let path = self.out_dir.join(name);
+        fs::write(&path, json)
+            .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+        println!("wrote {name}\n");
     }
 
     fn load_or_generate_aes(scale: &Scale, dir: &Path) -> Vec<(String, GeneratedAe)> {

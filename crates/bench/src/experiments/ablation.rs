@@ -14,6 +14,13 @@ use crate::table::Table;
 
 use super::THREE_AUX;
 
+/// Runs the three ablations in order: the `ablation` experiment.
+pub fn ablation(ctx: &ExperimentContext) {
+    encoder_ablation(ctx);
+    baseline_comparison(ctx);
+    min_run_ablation(ctx);
+}
+
 /// Detection accuracy per phonetic encoder (JaroWinkler base, 80/20 SVM on
 /// the three-auxiliary system).
 pub fn encoder_ablation(ctx: &ExperimentContext) {

@@ -10,7 +10,7 @@ use mvp_asr::Asr;
 use crate::context::{ExperimentContext, PROFILES};
 use crate::table::Table;
 
-/// Output artifact path, relative to the working directory.
+/// Output artifact file name, written under the context's `out_dir`.
 pub const ARTIFACT: &str = "BENCH_artifact.json";
 
 /// Benchmarks the disk tier for every profile: time a cold train (into a
@@ -80,8 +80,5 @@ pub fn run_artifact_bench(ctx: &ExperimentContext) {
     println!("{table}");
 
     let json = format!("{{\n  \"profiles\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
-    match std::fs::write(ARTIFACT, &json) {
-        Ok(()) => println!("wrote {ARTIFACT}\n"),
-        Err(e) => println!("could not write {ARTIFACT}: {e}\n"),
-    }
+    ctx.write_artifact(ARTIFACT, &json);
 }

@@ -4,7 +4,8 @@
 //! and a per-kernel breakdown of the kernel plane — each tuned primitive
 //! timed against its scalar oracle, plus end-to-end single-stream
 //! transcription throughput in both modes. Results print as tables and
-//! are written to `BENCH_dataplane.json` in the working directory.
+//! are written to `BENCH_dataplane.json` under the context's output
+//! directory.
 
 use std::time::Instant;
 
@@ -15,9 +16,10 @@ use mvp_dsp::mel::MelFilterbank;
 use mvp_dsp::Complex;
 
 use crate::context::ExperimentContext;
+use crate::experiments::Metrics;
 use crate::table::Table;
 
-/// Output artifact path, relative to the working directory.
+/// Output artifact file name, written under the context's `out_dir`.
 pub const ARTIFACT: &str = "BENCH_dataplane.json";
 
 /// Rounds each transcription path runs; the first batch round pays the
@@ -137,7 +139,9 @@ fn kernel_breakdown() -> Vec<KernelTiming> {
 
 /// Benchmarks the two transcription paths, the white-box gradient step
 /// and the kernel plane on the DS0 recogniser, then writes [`ARTIFACT`].
-pub fn run_dataplane_bench(ctx: &ExperimentContext) {
+/// Returns `kernel_speedup`: single-stream transcription throughput with
+/// the tuned kernels over the scalar oracles.
+pub fn run_dataplane_bench(ctx: &ExperimentContext) -> Metrics {
     println!("== data plane: scratch-plan throughput, grad-step latency, kernel plane ==");
     let asr = AsrProfile::Ds0.trained_in(Some(&ctx.models_dir()));
     let waves: Vec<&Waveform> = ctx.benign.utterances().iter().map(|u| &u.wave).collect();
@@ -255,8 +259,6 @@ pub fn run_dataplane_bench(ctx: &ExperimentContext) {
         batch_rps / per_call_rps,
         kernel_json.join(",\n"),
     );
-    match std::fs::write(ARTIFACT, &json) {
-        Ok(()) => println!("wrote {ARTIFACT}\n"),
-        Err(e) => println!("could not write {ARTIFACT}: {e}\n"),
-    }
+    ctx.write_artifact(ARTIFACT, &json);
+    vec![("kernel_speedup", kernel_speedup)]
 }

@@ -16,10 +16,10 @@ use mvp_modality::ModalityKind;
 use mvp_obs::JsonObj;
 
 use crate::context::{score_mat, ExperimentContext};
-use crate::experiments::THREE_AUX;
+use crate::experiments::{Metrics, THREE_AUX};
 use crate::table::Table;
 
-/// Output artifact path, relative to the working directory.
+/// Output artifact file name, written under the context's `out_dir`.
 pub const ARTIFACT: &str = "BENCH_modality.json";
 
 /// One audio's complete evidence: similarity scores plus every modality
@@ -43,7 +43,7 @@ struct Evidence {
 /// shared learning rate stalls on blocks whose scales differ by orders
 /// of magnitude, which would penalise exactly the wide fused rows this
 /// benchmark exists to compare.
-fn family_auc(rows: &[(usize, Vec<f64>)]) -> f64 {
+pub(crate) fn family_auc(rows: &[(usize, Vec<f64>)]) -> f64 {
     let dim = rows.first().map_or(0, |(_, r)| r.len());
     let n = rows.len().max(1) as f64;
     let mean: Vec<f64> =
@@ -72,9 +72,9 @@ fn family_auc(rows: &[(usize, Vec<f64>)]) -> f64 {
 }
 
 /// Collects per-audio evidence, computes every AUC, trains the fused
-/// classifier, prints the table and writes [`ARTIFACT`]. Returns the
-/// (fused, similarity-only) AUC pair so smoke gates can assert on it.
-pub fn run_modality_bench(ctx: &ExperimentContext) -> (f64, f64) {
+/// classifier, prints the table and writes [`ARTIFACT`]. Returns
+/// `fused_auc_gain`, the fused AUC minus the similarity-only AUC.
+pub fn run_modality_bench(ctx: &ExperimentContext) -> Metrics {
     println!("== detection modalities: AUC and latency vs similarity-only ==");
     let method = SimilarityMethod::default();
     let aux: Vec<AsrProfile> = THREE_AUX.to_vec();
@@ -200,9 +200,6 @@ pub fn run_modality_bench(ctx: &ExperimentContext) -> (f64, f64) {
             .raw("modalities", &format!("[{}]", modality_json.join(",")))
             .finish()
     );
-    match std::fs::write(ARTIFACT, &json) {
-        Ok(()) => println!("wrote {ARTIFACT}\n"),
-        Err(e) => println!("could not write {ARTIFACT}: {e}\n"),
-    }
-    (fused_auc, similarity_auc)
+    ctx.write_artifact(ARTIFACT, &json);
+    vec![("fused_auc_gain", fused_auc - similarity_auc)]
 }

@@ -1,13 +1,15 @@
-//! Observability-plane overhead benchmark: serve throughput with the obs
-//! plane fully off, with span tracing enabled, and with the verdict audit
-//! log enabled — plus an informational comparison against the plain serve
-//! benchmark's `BENCH_serve.json`, when one is present.
+//! Observability-plane overhead benchmark: the in-process cost of a
+//! disabled span site relative to one detection, then serve throughput
+//! with the obs plane fully off, with span tracing enabled, and with the
+//! verdict audit log enabled — plus an informational comparison against
+//! the plain serve benchmark's `BENCH_serve.json`, when one is present.
 //!
 //! Offline and seeded like the serve benchmark: same corpus, same trained
 //! system, one fresh engine per mode. Results print as a table and are
-//! written to `BENCH_obs.json` in the working directory.
+//! written to `BENCH_obs.json` under the context's output directory.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use mvp_asr::AsrProfile;
 use mvp_audio::Waveform;
@@ -19,11 +21,15 @@ use mvp_serve::{
 };
 
 use crate::context::ExperimentContext;
-use crate::experiments::THREE_AUX;
+use crate::experiments::{Metrics, THREE_AUX};
 use crate::table::Table;
 
-/// Output artifact path, relative to the working directory.
+/// Output artifact file name, written under the context's `out_dir`.
 pub const ARTIFACT: &str = "BENCH_obs.json";
+
+/// Conservative upper bound on span sites crossed by one serve request
+/// (submit + flush + per-auxiliary transcribe/features/decode + finalize).
+const SPAN_SITES_PER_REQUEST: f64 = 64.0;
 
 /// What the observability plane does during one measured run.
 enum ObsMode {
@@ -55,8 +61,11 @@ struct ModeOutcome {
     audit_lines: u64,
 }
 
-/// Runs the three obs modes against identical load and writes [`ARTIFACT`].
-pub fn run_obs_bench(ctx: &ExperimentContext) {
+/// Measures the disabled-span cost, runs the three obs modes against
+/// identical load and writes [`ARTIFACT`]. Returns
+/// `disabled_span_overhead_pct`: [`SPAN_SITES_PER_REQUEST`] disabled span
+/// sites as a percentage of one detection.
+pub fn run_obs_bench(ctx: &ExperimentContext) -> Metrics {
     println!("== observability plane: tracing/audit overhead under serve load ==");
     let method = SimilarityMethod::default();
     let aux: Vec<AsrProfile> = THREE_AUX.to_vec();
@@ -78,6 +87,14 @@ pub fn run_obs_bench(ctx: &ExperimentContext) {
     let corpus: Vec<Arc<Waveform>> =
         ctx.benign.utterances().iter().map(|u| Arc::new(u.wave.clone())).collect();
     let requests = (corpus.len() * 3).clamp(24, 240);
+
+    let (span_ns, detect_ns) = disabled_span_cost(&system, &corpus[0]);
+    let disabled_overhead_pct = span_ns * SPAN_SITES_PER_REQUEST / detect_ns * 100.0;
+    println!(
+        "disabled span: {span_ns:.1} ns/site, detection: {:.2} ms -> worst-case overhead \
+         {disabled_overhead_pct:.4}%",
+        detect_ns / 1e6
+    );
 
     let base_config = EngineConfig {
         queue_cap: 64,
@@ -152,9 +169,9 @@ pub fn run_obs_bench(ctx: &ExperimentContext) {
 
     // Informational: how this run's baseline compares with the plain serve
     // benchmark's artifact, when one has been written. Cross-run hardware
-    // noise makes this a report, not a gate — the in-process gate lives in
-    // the obs_smoke binary.
-    let serve_baseline = serve_baseline_rps();
+    // noise makes this a report, not a gate — the gated figure is the
+    // in-process disabled-span overhead above.
+    let serve_baseline = serve_baseline_rps(ctx);
     match serve_baseline {
         Some(rps) => println!(
             "serve baseline (BENCH_serve.json closed-loop best): {rps:.1} rps; obs-off here: {off_rps:.1} rps"
@@ -177,6 +194,8 @@ pub fn run_obs_bench(ctx: &ExperimentContext) {
         })
         .collect();
     let mut root = JsonObj::new()
+        .f64("disabled_span_ns", span_ns)
+        .f64("disabled_span_overhead_pct", disabled_overhead_pct)
         .u64("requests_per_mode", requests as u64)
         .raw("modes", &format!("[{}]", modes_json.join(",")));
     root = match serve_baseline {
@@ -184,10 +203,27 @@ pub fn run_obs_bench(ctx: &ExperimentContext) {
         None => root.null("serve_baseline_rps"),
     };
     let json = format!("{}\n", root.finish());
-    match std::fs::write(ARTIFACT, &json) {
-        Ok(()) => println!("wrote {ARTIFACT}\n"),
-        Err(e) => println!("could not write {ARTIFACT}: {e}\n"),
+    ctx.write_artifact(ARTIFACT, &json);
+    vec![("disabled_span_overhead_pct", disabled_overhead_pct)]
+}
+
+/// Wall time of one disabled span site and of one detection, both in ns,
+/// with tracing off.
+fn disabled_span_cost(system: &DetectionSystem, wave: &Waveform) -> (f64, f64) {
+    mvp_obs::trace::disable();
+    let iterations = 2_000_000u64;
+    let started = Instant::now();
+    for _ in 0..iterations {
+        let _guard = mvp_obs::trace::span("bench.noop");
     }
+    let span_ns = started.elapsed().as_nanos() as f64 / iterations as f64;
+
+    let detections = 3;
+    let started = Instant::now();
+    for _ in 0..detections {
+        let _ = system.detect(wave);
+    }
+    (span_ns, started.elapsed().as_nanos() as f64 / f64::from(detections))
 }
 
 /// Starts a fresh engine under one obs mode, drives the standard closed
@@ -244,10 +280,10 @@ fn run_mode(
     ModeOutcome { name: mode.name(), report, spans, audit_lines }
 }
 
-/// Best closed-loop throughput recorded in `BENCH_serve.json`, if the
-/// artifact exists and parses.
-fn serve_baseline_rps() -> Option<f64> {
-    let text = std::fs::read_to_string(super::serve::ARTIFACT).ok()?;
+/// Best closed-loop throughput recorded in the context's
+/// `BENCH_serve.json`, if the artifact exists and parses.
+fn serve_baseline_rps(ctx: &ExperimentContext) -> Option<f64> {
+    let text = std::fs::read_to_string(ctx.out_dir.join(super::serve::ARTIFACT)).ok()?;
     let value = mvp_obs::json::parse(&text).ok()?;
     let levels = value.as_arr()?;
     levels

@@ -26,13 +26,13 @@ use mvp_asr::{AmScratch, Asr, AsrProfile};
 use mvp_audio::Waveform;
 use mvp_dsp::mfcc::FeatureMatrix;
 use mvp_ears::SimilarityMethod;
-use mvp_ml::{auc, roc_curve, Classifier, Dataset, LogisticRegression, Mat};
 
-use crate::context::{score_mat, ExperimentContext};
-use crate::experiments::THREE_AUX;
+use crate::context::ExperimentContext;
+use crate::experiments::modality::family_auc;
+use crate::experiments::{Metrics, THREE_AUX};
 use crate::table::Table;
 
-/// Output artifact path, relative to the working directory.
+/// Output artifact file name, written under the context's `out_dir`.
 pub const ARTIFACT: &str = "BENCH_quant.json";
 
 /// Acoustic-model profiles timed in the throughput table. GCS carries
@@ -97,39 +97,11 @@ fn am_timing(ctx: &ExperimentContext, profile: AsrProfile) -> AmTiming {
     AmTiming { profile, frames, f64_us, i8_us }
 }
 
-/// The logistic-regression AUC of one ensemble's score rows (label 0 =
-/// benign, 1 = adversarial), mirroring the modality benchmark's scorer
-/// so the three ensembles compare on one calibrated footing.
-fn ensemble_auc(rows: &[(usize, Vec<f64>)]) -> f64 {
-    let dim = rows.first().map_or(0, |(_, r)| r.len());
-    let n = rows.len().max(1) as f64;
-    let mean: Vec<f64> =
-        (0..dim).map(|j| rows.iter().map(|(_, r)| r[j]).sum::<f64>() / n).collect();
-    let std: Vec<f64> = (0..dim)
-        .map(|j| {
-            let var = rows.iter().map(|(_, r)| (r[j] - mean[j]).powi(2)).sum::<f64>() / n;
-            var.sqrt().max(1e-9)
-        })
-        .collect();
-    let zscore = |r: &[f64]| -> Vec<f64> {
-        r.iter().enumerate().map(|(j, v)| (v - mean[j]) / std[j]).collect()
-    };
-    let class = |label: usize| -> Mat {
-        score_mat(rows.iter().filter(|(l, _)| *l == label).map(|(_, r)| zscore(r)).collect())
-    };
-    let data = Dataset::from_classes(class(0), class(1));
-    let mut lr = LogisticRegression::new();
-    lr.fit(&data);
-    // Flip P(adversarial) so higher = more benign, matching `roc_curve`'s
-    // low-score-is-positive sweep.
-    let scores: Vec<f64> = rows.iter().map(|(_, r)| 1.0 - lr.probability(&zscore(r))).collect();
-    let labels: Vec<usize> = rows.iter().map(|(l, _)| *l).collect();
-    auc(&roc_curve(&scores, &labels))
-}
-
 /// Times the acoustic models, measures benign int8/f64 transcript
 /// agreement, evaluates the three ensembles and writes [`ARTIFACT`].
-pub fn run_quant_bench(ctx: &ExperimentContext) {
+/// Returns the GCS `am_headline_speedup` and the
+/// `benign_mean_similarity` of DS0-I8 to DS0.
+pub fn run_quant_bench(ctx: &ExperimentContext) -> Metrics {
     println!("== quantization plane: int8 inference as a precision-diverse ensemble member ==");
     let method = SimilarityMethod::default();
     let models = ctx.models_dir();
@@ -218,9 +190,11 @@ pub fn run_quant_bench(ctx: &ExperimentContext) {
         profile_rows.push((label, profile));
         mixed_rows.push((label, mixed));
     }
-    let precision_auc = ensemble_auc(&precision_rows);
-    let profile_auc = ensemble_auc(&profile_rows);
-    let mixed_auc = ensemble_auc(&mixed_rows);
+    // The modality benchmark's logistic scorer, so the three ensembles
+    // compare on one calibrated footing.
+    let precision_auc = family_auc(&precision_rows);
+    let profile_auc = family_auc(&profile_rows);
+    let mixed_auc = family_auc(&mixed_rows);
     let mut atable = Table::new(["ensemble", "auxiliaries", "AUC"]);
     atable.row(["precision-only".to_string(), "DS0-I8".to_string(), format!("{precision_auc:.4}")]);
     atable.row([
@@ -258,8 +232,6 @@ pub fn run_quant_bench(ctx: &ExperimentContext) {
         am_json.join(",\n"),
         i8_rps / f64_rps,
     );
-    match std::fs::write(ARTIFACT, &json) {
-        Ok(()) => println!("wrote {ARTIFACT}\n"),
-        Err(e) => println!("could not write {ARTIFACT}: {e}\n"),
-    }
+    ctx.write_artifact(ARTIFACT, &json);
+    vec![("am_headline_speedup", headline), ("benign_mean_similarity", mean_sim)]
 }

@@ -5,7 +5,7 @@
 //! Entirely offline and seeded: the corpus is the cached benign set, the
 //! classifier trains on the cached score vectors, and every load level's
 //! request sequence is deterministic. Results print as a table and are
-//! written to `BENCH_serve.json` in the working directory.
+//! written to `BENCH_serve.json` under the context's output directory.
 //!
 //! The sharded levels are sized to expose **cache affinity**, not CPU
 //! parallelism (CI runs on one core): the per-shard transcription cache
@@ -28,10 +28,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::context::ExperimentContext;
-use crate::experiments::THREE_AUX;
+use crate::experiments::{Metrics, THREE_AUX};
 use crate::table::Table;
 
-/// Output artifact path, relative to the working directory.
+/// Output artifact file name, written under the context's `out_dir`.
 pub const ARTIFACT: &str = "BENCH_serve.json";
 
 /// Splices router-level fields (shard count, per-shard cache hit rates,
@@ -51,8 +51,10 @@ fn sharded_json(report: &LoadReport, n_shards: usize, hit_rates: &[f64], steals:
 }
 
 /// Runs every load level against a freshly started engine each and
-/// writes [`ARTIFACT`].
-pub fn run_serve_bench(ctx: &ExperimentContext) {
+/// writes [`ARTIFACT`]. Returns `shard_x4_speedup` (4-shard over 1-shard
+/// throughput) and `sharded_answered_frac` (the lowest share of offered
+/// requests a sharded level answered).
+pub fn run_serve_bench(ctx: &ExperimentContext) -> Metrics {
     println!("== serving engine: throughput/latency under load ==");
     let method = SimilarityMethod::default();
     let aux: Vec<AsrProfile> = THREE_AUX.to_vec();
@@ -185,6 +187,8 @@ pub fn run_serve_bench(ctx: &ExperimentContext) {
     // waveforms, so hit rate is pure affinity.
     let distinct = corpus.len();
     let shard_engine = EngineConfig { cache_cap: (distinct / 3).max(2), ..base_config.clone() };
+    let mut shard_rps = Vec::new();
+    let mut sharded_answered_frac = 1.0f64;
     for n_shards in [1usize, 2, 4] {
         let spec = LoadSpec {
             name: format!("sharded-x{n_shards}"),
@@ -205,6 +209,9 @@ pub fn run_serve_bench(ctx: &ExperimentContext) {
         let hit_rates: Vec<f64> = router.shard_stats().iter().map(|s| s.cache_hit_rate()).collect();
         let steals = router.steal_counts();
         router.shutdown();
+        shard_rps.push(report.throughput_rps);
+        sharded_answered_frac =
+            sharded_answered_frac.min(report.tally.total() as f64 / report.offered.max(1) as f64);
         row(&report, "-".into(), steals.iter().sum::<u64>().to_string());
         entries.push(sharded_json(&report, n_shards, &hit_rates, &steals));
     }
@@ -248,8 +255,9 @@ pub fn run_serve_bench(ctx: &ExperimentContext) {
     println!("{table}");
 
     let json = format!("[\n  {}\n]\n", entries.join(",\n  "));
-    match std::fs::write(ARTIFACT, &json) {
-        Ok(()) => println!("wrote {ARTIFACT}\n"),
-        Err(e) => println!("could not write {ARTIFACT}: {e}\n"),
-    }
+    ctx.write_artifact(ARTIFACT, &json);
+    vec![
+        ("shard_x4_speedup", shard_rps[2] / shard_rps[0].max(1e-9)),
+        ("sharded_answered_frac", sharded_answered_frac),
+    ]
 }

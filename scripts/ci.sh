@@ -8,6 +8,12 @@ cargo fmt --check
 RUSTFLAGS="-Dwarnings" cargo build --release
 cargo test -q
 
+# Unit tests of the library invariants CI relies on beyond the facade's
+# integration tests: kernel-vs-oracle parity (mvp-dsp), artifact round
+# trips and corruption refusal at both precisions (mvp-asr) and
+# fused-classifier persistence (mvp-ears).
+cargo test --release -q -p mvp-dsp -p mvp-asr -p mvp-ears
+
 # The serving benchmark is a package of its own; its unit tests compile
 # against the mvp-serve API it drives, so an API break fails here.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
@@ -36,41 +42,13 @@ lint_smoke() {
 }
 lint_smoke
 
-# Artifact-plane smoke: train the cheapest profile, persist it, and prove
-# a clean load succeeds while a corrupted artifact fails with a typed
-# error (exit status is the gate).
-cargo run --release -q -p mvp-bench --bin artifact_smoke
-
-# Observability-plane smoke: disabled-tracing overhead must stay under
-# 2 % per request, traced detections must emit a valid span forest, and
-# every serve verdict must leave a parseable audit record that agrees
-# with the metrics exposition (exit status is the gate).
-cargo run --release -q -p mvp-bench --bin obs_smoke
-
-# Modality-plane smoke: fit the fused similarity + modality classifier
-# at tiny scale and require fused AUC >= the similarity-only baseline,
-# plus a FusedClassifier persist round-trip and corruption refusal
-# (exit status is the gate; the bench artifact goes to a temp dir).
-cargo run --release -q -p mvp-bench --bin modality_smoke
-
-# Kernel-plane smoke: every tuned kernel must agree with its scalar
-# oracle (bit-exact or within documented reassociation slack), and
-# end-to-end tiny-scale transcription on the vectorized path must not
-# lose to the scalar fallback (exit status is the gate).
-cargo run --release -q -p mvp-bench --bin kernel_smoke
-
-# Streaming/sharding smoke: a 4-shard router must beat a single engine
-# by >= 1.5x at tiny scale (cache affinity, not cores), and a forced
-# chunked run must reproduce the one-shot verdict exactly (exit status
-# is the gate).
-cargo run --release -q -p mvp-bench --bin shard_smoke
-
-# Quantization-plane smoke: the int8 GCS acoustic model must beat f64
-# by >= 1.3x (the AM level is where the win physically lives — the MFCC
-# frontend dominates end-to-end transcription), the int8 target must
-# agree with its f64 parent on tiny-scale benign speech, and a corrupt
-# quantized artifact must be refused typed (exit status is the gate).
-cargo run --release -q -p mvp-bench --bin quant_smoke
+# Bench gate: run the gated experiments at tiny scale (artifacts go to a
+# temp dir, never over the committed BENCH_*.json) and check each
+# measured figure against its bound in mvp_bench::gate::GATES: fused vs
+# similarity-only AUC, 4-shard scaling, disabled-tracing overhead,
+# vectorized vs scalar kernels, int8 acoustic-model speed and agreement
+# (exit status is the gate).
+cargo run --release -q -p mvp-bench --bin run_all -- --gate
 
 # Collate whatever BENCH_*.json artifacts exist into one trajectory
 # table (informational; never fails the gate on missing artifacts).
