@@ -98,25 +98,23 @@ impl FeatureFrontEnd {
         row * self.subsample * cfg.hop + cfg.frame_len / 2
     }
 
-    /// Extracts stacked features for `wave`.
+    /// Extracts stacked features for `wave` — the scratch path of
+    /// [`features_into`](Self::features_into) with fresh buffers, so no
+    /// backward-pass cache is built and thrown away.
     pub fn features(&self, wave: &Waveform) -> FeatureMatrix {
-        self.features_with_cache(wave).0
-    }
-
-    /// Extracts stacked features from pre-widened samples.
-    pub fn features_from_samples(&self, samples: &[f64]) -> FeatureMatrix {
-        let mut scratch = FrontEndScratch::default();
         let mut out = FeatureMatrix::default();
-        self.features_into(samples, &mut scratch, &mut out);
+        self.features_into(wave.samples(), &mut FrontEndScratch::default(), &mut out);
         out
     }
 
     /// Extracts stacked features into `out`, reusing `scratch` — the batch
     /// path uses this so repeated extraction performs no steady-state
-    /// allocation (see `TrainedAsr::transcribe_batch_with`).
-    pub fn features_into(
+    /// allocation (see `TrainedAsr::transcribe_batch_with`). `samples`
+    /// are `f64` or a waveform's raw `f32` samples (see
+    /// [`MfccExtractor::extract_into`]).
+    pub fn features_into<S: Copy + Into<f64>>(
         &self,
-        samples: &[f64],
+        samples: &[S],
         scratch: &mut FrontEndScratch,
         out: &mut FeatureMatrix,
     ) {
@@ -125,7 +123,8 @@ impl FeatureFrontEnd {
     }
 
     /// Extracts stacked features plus the cache needed by
-    /// [`backward`](Self::backward).
+    /// [`backward`](Self::backward) — the white-box attack's entry
+    /// point; feature-only callers use [`features`](Self::features).
     pub fn features_with_cache(&self, wave: &Waveform) -> (FeatureMatrix, FrontEndCache) {
         let samples = wave.to_f64();
         let (mfcc, cache) = self.extractor.extract_with_cache(&samples);
@@ -393,7 +392,7 @@ mod tests {
         let samples: Vec<f64> = w.to_f64();
         for (ctx, sub) in [(0, 1), (1, 1), (2, 3), (3, 2)] {
             let fe = small_frontend(ctx, sub);
-            let reference = fe.features_from_samples(&samples);
+            let reference = fe.features(&w);
             for chunk_len in [1usize, 9, 160, samples.len()] {
                 let mut st = FrontEndStream::default();
                 let mut out = FeatureMatrix::default();
@@ -420,7 +419,7 @@ mod tests {
             st.push(&fe, chunk, &mut out);
         }
         st.finish(&fe, &mut out);
-        assert_eq!(out, fe.features_from_samples(&samples));
+        assert_eq!(out, fe.features(&w));
     }
 
     #[test]

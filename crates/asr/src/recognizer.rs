@@ -141,8 +141,9 @@ impl TrainedAsr {
 
     /// Transcribes a micro-batch through a caller-owned scratch plan.
     ///
-    /// Every intermediate — widened samples, MFCC workspace, stacked
-    /// features, logit matrix, acoustic-model activations — lives in
+    /// Every intermediate — the MFCC workspace (which widens the raw
+    /// samples as it pre-emphasizes them), stacked features, logit
+    /// matrix, acoustic-model activations — lives in
     /// `scratch`, so a long-lived caller (mvp-serve's per-ASR workers)
     /// performs zero steady-state allocation per batch once the buffers
     /// have grown to the working-set size.
@@ -159,9 +160,8 @@ impl TrainedAsr {
                 }
                 {
                     let _span = mvp_obs::span!("asr.features");
-                    wave.copy_to_f64(&mut scratch.samples);
                     self.frontend.features_into(
-                        &scratch.samples,
+                        wave.samples(),
                         &mut scratch.frontend,
                         &mut scratch.feats,
                     );
@@ -190,7 +190,7 @@ impl TrainedAsr {
 
     /// [`stream_push`](Self::stream_push) for raw `f32` samples, widened
     /// through the stream's own buffer exactly as
-    /// [`Waveform::copy_to_f64`] widens them.
+    /// [`Waveform::to_f64`] widens them.
     pub fn stream_push_f32(&self, stream: &mut AsrStream, chunk: &[f32]) -> usize {
         let mut samples = std::mem::take(&mut stream.samples);
         samples.clear();
@@ -307,11 +307,19 @@ impl TrainedAsr {
 /// repeated batches reuse every allocation.
 #[derive(Debug, Clone, Default)]
 pub struct AsrScratch {
-    samples: Vec<f64>,
     frontend: FrontEndScratch,
     feats: FeatureMatrix,
     logits: FeatureMatrix,
     am: AmScratch,
+}
+
+impl AsrScratch {
+    /// The logit matrix of the last waveform transcribed through this
+    /// scratch — the served path's logits, for parity checks against
+    /// [`TrainedAsr::logits`].
+    pub fn logits(&self) -> &FeatureMatrix {
+        &self.logits
+    }
 }
 
 /// Incremental transcription state for one utterance through one
@@ -434,6 +442,18 @@ mod tests {
         for (wave, text) in refs.iter().zip(&batch) {
             assert_eq!(*text, asr.transcribe(wave));
         }
+        // Equal strings can hide a sub-ulp drift between the served and
+        // in-process feature paths, which later flips a transcript near
+        // the decision boundary: the logits must match bit for bit, and
+        // so must the features the white-box attack differentiates.
+        let bits = |m: &FeatureMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scratch = AsrScratch::default();
+        for wave in &refs[..3] {
+            asr.transcribe_batch_with(&[wave], &mut scratch);
+            assert_eq!(bits(scratch.logits()), bits(&asr.logits(wave)));
+            let (attack_feats, _) = asr.frontend().features_with_cache(wave);
+            assert_eq!(bits(&attack_feats), bits(&asr.frontend().features(wave)));
+        }
     }
 
     #[test]
@@ -467,7 +487,7 @@ mod tests {
             }
             assert_eq!(asr.stream_finish(&mut stream), reference, "trial {trial}");
         }
-        // f32 ingress widens exactly like copy_to_f64.
+        // f32 ingress widens exactly like to_f64.
         for chunk in wave.samples().chunks(777) {
             asr.stream_push_f32(&mut stream, chunk);
         }

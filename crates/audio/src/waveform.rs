@@ -78,14 +78,6 @@ impl Waveform {
         self.samples.iter().map(|&s| s as f64).collect()
     }
 
-    /// Widens the samples into a caller-owned buffer, reusing its
-    /// allocation — the batch transcription path calls this once per
-    /// waveform with a single scratch buffer.
-    pub fn copy_to_f64(&self, buf: &mut Vec<f64>) {
-        buf.clear();
-        buf.extend(self.samples.iter().map(|&s| s as f64));
-    }
-
     /// Root-mean-square amplitude (0 for an empty buffer).
     pub fn rms(&self) -> f32 {
         if self.samples.is_empty() {

@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use mvp_asr::{Asr, AsrProfile, AsrScratch, TrainedAsr};
 use mvp_audio::Waveform;
-use mvp_dsp::kernel::{self, DctPlan, RfftPlan, RfftScratch};
+use mvp_dsp::kernel::{self, DctPlan, Frames, RfftPlan, RfftScratch};
 use mvp_dsp::mel::MelFilterbank;
-use mvp_dsp::Complex;
+use mvp_dsp::{Complex, Window};
 
 use crate::context::ExperimentContext;
 use crate::experiments::Metrics;
@@ -89,6 +89,21 @@ fn kernel_breakdown() -> Vec<KernelTiming> {
         std::hint::black_box(&spec);
     });
     out.push(KernelTiming { name: "rfft 512", scalar_us, vector_us });
+
+    // rfft frames: a 212-frame utterance (DS0's 400/160 framing, Hann
+    // window) through the batched lane kernel, power spectra out —
+    // against the oracle transforming each windowed frame on its own.
+    let (n_frames, frame_len, hop) = (212, 400, 160);
+    let mut signal = vec![0.0; (n_frames - 1) * hop + frame_len];
+    lcg_fill(&mut signal, 0x5eed_0006);
+    let window = Window::Hann.coefficients(frame_len);
+    let frames = Frames { signal: &signal, start: 0, hop, len: frame_len, count: n_frames };
+    let mut power = vec![0.0; n_frames * plan.n_bins()];
+    let (scalar_us, vector_us) = time_modes(60, || {
+        plan.forward_frames(frames, &window, &mut scratch, Some(&mut power), None);
+        std::hint::black_box(&power);
+    });
+    out.push(KernelTiming { name: "rfft frames 212x512", scalar_us, vector_us });
 
     // gemv: one hidden-layer application at acoustic-model shape.
     let (hidden, dim) = (64, 400);

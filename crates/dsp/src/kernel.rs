@@ -26,8 +26,21 @@
 //! | [`quantize_i8`]                | bit-exact (saturating float→int cast |
 //! |                                | equals the oracle's checked clamp on |
 //! |                                | every input, `NaN → 0` included)     |
-//! | [`RfftPlan`]                   | different algorithm (half-size       |
-//! |                                | complex FFT); error `O(n·ε)`         |
+//! | [`RfftPlan::forward_frames`],  | different algorithm (table-driven    |
+//! | [`RfftPlan::forward`]          | half-size FFT, frames in SIMD lanes);|
+//! |                                | error `O(n·ε)`, tested ≤ `4nε·‖x‖₁`  |
+//! |                                | for every `n = 1…1024` and frame     |
+//! |                                | length `0..=n`. A frame's bits are   |
+//! |                                | independent of its lane, its group,  |
+//! |                                | the ISA body and the thread count;   |
+//! |                                | `forward` is the one-frame call      |
+//! | [`RfftPlan::hfft`],            | the oracle's radix-2 loop on the     |
+//! | [`RfftPlan::inverse`]          | half-size buffer; error `O(n·ε)`     |
+//!
+//! Every MFCC and spectrogram path reaches the spectrum through
+//! [`RfftPlan::forward_frames`], so the served, in-process, streamed and
+//! gradient-caching feature paths agree bit for bit however they group
+//! their frames.
 //!
 //! `gemm_nt` tiles over rows and columns only — it never splits the
 //! inner `k` dimension — so `gemm_nt`, `gemv` and `dot` agree *bitwise*
@@ -39,7 +52,8 @@
 //!
 //! # Threads
 //!
-//! [`par_rows`] spreads independent row work over scoped threads. The
+//! [`par_rows`] (and `par_row_blocks`, its form for work on several
+//! rows at once) spreads independent row work over scoped threads. The
 //! worker count is `set_threads` (the serve engine partitions cores
 //! between its ASR workers) → the `MVP_EARS_KERNEL_THREADS` env var →
 //! `std::thread::available_parallelism()`. Row outputs are independent,
@@ -523,28 +537,46 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut [f64]) + Sync,
 {
+    par_row_blocks(data, n_cols, 1, init, f);
+}
+
+/// [`par_rows`] over blocks of up to `block_rows` consecutive rows, for
+/// work that handles several rows at once (the MFCC paths hand a block
+/// of frames to [`RfftPlan::forward_frames`]). Workers get whole blocks;
+/// only the last block of the matrix may be short.
+///
+/// `f` receives `(state, first_row_index, rows)`, `rows` holding the
+/// block's rows back to back.
+pub(crate) fn par_row_blocks<S, I, F>(
+    data: &mut [f64],
+    n_cols: usize,
+    block_rows: usize,
+    init: I,
+    f: F,
+) where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [f64]) + Sync,
+{
     if n_cols == 0 || data.is_empty() {
         return;
     }
+    let block_rows = block_rows.max(1);
     let n_rows = data.len() / n_cols;
-    let workers = threads().clamp(1, n_rows.max(1));
-    if workers <= 1 || n_rows < PAR_MIN_ROWS {
-        let mut state = init();
-        for (r, row) in data.chunks_exact_mut(n_cols).enumerate() {
-            f(&mut state, r, row);
+    let workers = threads().clamp(1, n_rows.div_ceil(block_rows));
+    let run = |state: &mut S, first: usize, chunk: &mut [f64]| {
+        for (b, block) in chunk.chunks_mut(block_rows * n_cols).enumerate() {
+            f(state, first + b * block_rows, block);
         }
+    };
+    if workers <= 1 || n_rows < PAR_MIN_ROWS {
+        run(&mut init(), 0, data);
         return;
     }
-    let rows_per = n_rows.div_ceil(workers);
+    let rows_per = n_rows.div_ceil(workers).next_multiple_of(block_rows);
     std::thread::scope(|scope| {
         for (ci, chunk) in data.chunks_mut(rows_per * n_cols).enumerate() {
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                let mut state = init();
-                for (r, row) in chunk.chunks_exact_mut(n_cols).enumerate() {
-                    f(&mut state, ci * rows_per + r, row);
-                }
-            });
+            let (init, run) = (&init, &run);
+            scope.spawn(move || run(&mut init(), ci * rows_per, chunk));
         }
     });
 }
@@ -553,30 +585,247 @@ where
 // Real-input FFT
 // ---------------------------------------------------------------------------
 
+/// A run of equally spaced analysis frames over one signal — the input
+/// of [`RfftPlan::forward_frames`]. Frame `i` is the `len` samples from
+/// `start + i·hop`, cut short where the signal ends; the transform
+/// zero-pads a short frame, and one that starts past the end is silent.
+#[derive(Debug, Clone, Copy)]
+pub struct Frames<'a> {
+    /// The samples the frames are cut from.
+    pub signal: &'a [f64],
+    /// Index of frame 0's first sample.
+    pub start: usize,
+    /// Advance between consecutive frames, in samples.
+    pub hop: usize,
+    /// Nominal frame length, in samples.
+    pub len: usize,
+    /// Number of frames.
+    pub count: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// The samples of frame `i` that lie inside the signal.
+    pub fn frame(&self, i: usize) -> &'a [f64] {
+        let end = self.signal.len();
+        let from = self.start.saturating_add(i.saturating_mul(self.hop)).min(end);
+        &self.signal[from..from.saturating_add(self.len).min(end)]
+    }
+
+    /// Frames `first .. first + count` of this run, as a run of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches past [`count`](Self::count).
+    pub fn range(&self, first: usize, count: usize) -> Frames<'a> {
+        assert!(first + count <= self.count, "frame range out of bounds");
+        Frames { start: self.start + first * self.hop, count, ..*self }
+    }
+}
+
 /// Reusable buffers for [`RfftPlan`]; one per thread of frame work.
 #[derive(Debug, Clone, Default)]
 pub struct RfftScratch {
-    /// Half-size complex buffer for the packed transform.
+    /// Structure-of-arrays buffer of [`RfftPlan::forward_frames`]: per
+    /// complex element of the half-size transform, the real parts of
+    /// every lane, then their imaginary parts.
+    lanes: Vec<f64>,
+    /// Half-size complex buffer for the Hermitian synthesis.
     half: Vec<Complex>,
     /// Full-size buffer, used only by the scalar-oracle fallback.
     full: Vec<Complex>,
+}
+
+/// The `f64` register a lane body of [`RfftPlan::forward_frames`]
+/// computes in, one frame per lane. Every operation is the lane-wise
+/// IEEE one, with no fused multiply-add, so each implementation gives a
+/// lane the bits any other gives it.
+trait Lanes: Copy {
+    /// Frames side by side.
+    const N: usize;
+    /// Every lane set to `x`.
+    fn splat(x: f64) -> Self;
+    /// Lanes from `src[..N]`.
+    fn load(src: &[f64]) -> Self;
+    /// Lanes to `dst[..N]`.
+    fn store(self, dst: &mut [f64]);
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    fn mul(self, o: Self) -> Self;
+}
+
+/// Widest [`Lanes::N`]; sizes the unpack's per-bin staging arrays.
+const MAX_LANES: usize = 8;
+
+/// Four lanes in plain arrays: the portable and AVX2 bodies.
+impl Lanes for [f64; 4] {
+    const N: usize = 4;
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        [x; 4]
+    }
+    #[inline(always)]
+    fn load(src: &[f64]) -> Self {
+        let mut v = [0.0; 4];
+        v.copy_from_slice(&src[..4]);
+        v
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f64]) {
+        dst[..4].copy_from_slice(&self);
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] + o[l])
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] - o[l])
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] * o[l])
+    }
+}
+
+/// Eight lanes in an AVX-512 register. Written with intrinsics rather
+/// than left to the auto-vectorizer, which turns the 8-lane loops of
+/// `[f64; 8]` into gathers across butterflies.
+///
+/// A value exists only inside `rfft_frames_avx512`, which
+/// [`RfftPlan::forward_frames`] calls only after detecting AVX-512F at
+/// run time; every `unsafe` block below rests on that, plus the slice
+/// bound each load and store checks first.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512(std::arch::x86_64::__m512d);
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx512 {
+    const N: usize = 8;
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        // SAFETY: AVX-512F is present (see the type doc).
+        Avx512(unsafe { std::arch::x86_64::_mm512_set1_pd(x) })
+    }
+    #[inline(always)]
+    fn load(src: &[f64]) -> Self {
+        let src = &src[..8];
+        // SAFETY: `src` holds 8 readable f64 (checked one line up);
+        // AVX-512F is present (see the type doc).
+        Avx512(unsafe { std::arch::x86_64::_mm512_loadu_pd(src.as_ptr()) })
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f64]) {
+        let dst = &mut dst[..8];
+        // SAFETY: `dst` holds 8 writable f64 (checked one line up);
+        // AVX-512F is present (see the type doc).
+        unsafe { std::arch::x86_64::_mm512_storeu_pd(dst.as_mut_ptr(), self.0) }
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the type doc).
+        Avx512(unsafe { std::arch::x86_64::_mm512_add_pd(self.0, o.0) })
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the type doc).
+        Avx512(unsafe { std::arch::x86_64::_mm512_sub_pd(self.0, o.0) })
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the type doc).
+        Avx512(unsafe { std::arch::x86_64::_mm512_mul_pd(self.0, o.0) })
+    }
+}
+
+/// One complex element of the half-size transform, `(re, im)` lanes.
+type Cx<V> = (V, V);
+
+/// Reads the complex element stored in `z` (`2·N` f64: real lanes, then
+/// imaginary lanes).
+#[inline(always)]
+fn get<V: Lanes>(z: &[f64]) -> Cx<V> {
+    (V::load(&z[..V::N]), V::load(&z[V::N..]))
+}
+
+/// Writes a complex element to `z`.
+#[inline(always)]
+fn put<V: Lanes>(z: &mut [f64], v: Cx<V>) {
+    let (re, im) = z.split_at_mut(V::N);
+    v.0.store(re);
+    v.1.store(im);
+}
+
+/// `(a + b, a − b)`.
+#[inline(always)]
+fn butterfly<V: Lanes>(a: Cx<V>, b: Cx<V>) -> (Cx<V>, Cx<V>) {
+    ((a.0.add(b.0), a.1.add(b.1)), (a.0.sub(b.0), a.1.sub(b.1)))
+}
+
+/// `a · (wr + i·wi)`.
+#[inline(always)]
+fn twiddle<V: Lanes>(a: Cx<V>, wr: f64, wi: f64) -> Cx<V> {
+    let (wr, wi) = (V::splat(wr), V::splat(wi));
+    (a.0.mul(wr).sub(a.1.mul(wi)), a.0.mul(wi).add(a.1.mul(wr)))
 }
 
 /// A planned real-input FFT of size `n`: forward analysis to the
 /// one-sided spectrum (`n/2 + 1` bins), Hermitian synthesis back to a
 /// real signal, and the normalised inverse.
 ///
-/// Packs the `n` reals into an `n/2` complex vector, runs a half-size
-/// FFT and unpacks with a precomputed twiddle table — half the
-/// butterfly work of the full complex transform the scalar oracle runs.
+/// The forward transform packs the `n` reals into an `n/2` complex
+/// vector, runs a half-size FFT and unpacks with a precomputed twiddle
+/// table — half the butterfly work of the full complex transform the
+/// scalar oracle runs. It works on several frames at once, one per SIMD
+/// lane (see [`forward_frames`](Self::forward_frames)).
 #[derive(Debug, Clone)]
 pub struct RfftPlan {
     n: usize,
     /// `tw[k] = e^{-2πik/n}` for `k = 0..=n/2`.
     tw: Vec<Complex>,
+    /// Bit-reversal permutation of the half-size transform.
+    rev: Vec<usize>,
+    /// Twiddles of the half-size transform's radix-2 stages: the stage
+    /// of half-span `h` keeps `e^{-iπj/h}`, `j < h`, at `h - 1 + j`.
+    stage_re: Vec<f64>,
+    stage_im: Vec<f64>,
+    /// `n` ones: the window of [`forward`](Self::forward)'s single frame.
+    ones: Vec<f64>,
 }
 
+/// Generates one monomorphic lane body of [`RfftPlan::forward_frames`]
+/// over a [`Lanes`] register, optionally compiled for a wider ISA.
+/// Every body runs the same generic source, each lane the same
+/// operations in the same order, so a frame's bits depend on none of
+/// its lane, its group, or the instruction set.
+macro_rules! rfft_frames_impl {
+    ($name:ident, $lanes:ty $(, $feat:literal)?) => {
+        $(#[target_feature(enable = $feat)])?
+        fn $name(
+            plan: &RfftPlan,
+            frames: Frames<'_>,
+            window: &[f64],
+            lanes: &mut Vec<f64>,
+            power: Option<&mut [f64]>,
+            spectra: Option<&mut [Complex]>,
+        ) {
+            plan.frames_in_lanes::<$lanes>(frames, window, lanes, power, spectra);
+        }
+    };
+}
+
+rfft_frames_impl!(rfft_frames_portable, [f64; 4]);
+#[cfg(target_arch = "x86_64")]
+rfft_frames_impl!(rfft_frames_avx2, [f64; 4], "avx2");
+#[cfg(target_arch = "x86_64")]
+rfft_frames_impl!(rfft_frames_avx512, Avx512, "avx512f");
+
 impl RfftPlan {
+    /// Frames per [`forward_frames`](Self::forward_frames) call that the
+    /// MFCC paths use: a multiple of every body's lane count, and small
+    /// enough that the lane buffer and the block's spectra stay in L1.
+    pub(crate) const BLOCK: usize = 8;
+
     /// Plans a transform of size `n`.
     ///
     /// # Panics
@@ -585,8 +834,25 @@ impl RfftPlan {
     pub fn new(n: usize) -> RfftPlan {
         assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
         let tau = 2.0 * std::f64::consts::PI;
-        let tw = (0..=n / 2).map(|k| Complex::from_angle(-tau * k as f64 / n as f64)).collect();
-        RfftPlan { n, tw }
+        let tw: Vec<Complex> =
+            (0..=n / 2).map(|k| Complex::from_angle(-tau * k as f64 / n as f64)).collect();
+        let half = n / 2;
+        let bits = half.trailing_zeros();
+        let rev = (0..half)
+            .map(|j| if bits == 0 { j } else { j.reverse_bits() >> (usize::BITS - bits) })
+            .collect();
+        // Stage h's twiddle e^{-iπj/h} is tw[j·half/h].
+        let (mut stage_re, mut stage_im) = (Vec::new(), Vec::new());
+        let mut h = 1;
+        while h < half {
+            for j in 0..h {
+                let w = tw[j * (half / h)];
+                stage_re.push(w.re);
+                stage_im.push(w.im);
+            }
+            h *= 2;
+        }
+        RfftPlan { n, tw, rev, stage_re, stage_im, ones: vec![1.0; n] }
     }
 
     /// Transform size.
@@ -600,7 +866,10 @@ impl RfftPlan {
     }
 
     /// Forward DFT of `signal` zero-padded to `n`, writing the one-sided
-    /// spectrum `S[0..=n/2]` into `out`.
+    /// spectrum `S[0..=n/2]` into `out`: a one-frame
+    /// [`forward_frames`](Self::forward_frames) call with a window of
+    /// ones, so it is bitwise equal to any frame of a batched call on the
+    /// same (already windowed) samples.
     ///
     /// # Panics
     ///
@@ -612,38 +881,262 @@ impl RfftPlan {
             signal.len(),
             self.n
         );
-        assert_eq!(out.len(), self.n_bins(), "one-sided spectrum length mismatch");
-        if scalar_forced() {
-            let full = &mut scratch.full;
-            full.resize(self.n, Complex::ZERO);
-            for (i, z) in full.iter_mut().enumerate() {
-                *z = Complex::new(signal.get(i).copied().unwrap_or(0.0), 0.0);
+        let frames = Frames { signal, start: 0, hop: 0, len: signal.len(), count: 1 };
+        self.forward_frames(frames, &self.ones[..signal.len()], scratch, None, Some(out));
+    }
+
+    /// Forward DFT of every frame of `frames`, each multiplied by
+    /// `window` and zero-padded to `n`. Writes the one-sided power
+    /// spectrum `|S[k]|²` of frame `i` to `power[i·(n/2+1)..]` and, when
+    /// asked, the complex spectrum to `spectra` in the same layout.
+    ///
+    /// Frames run side by side, one per SIMD lane (4 in the portable and
+    /// AVX2 bodies, 8 in the AVX-512 body, chosen at run time), through a
+    /// table-driven transform: the bit reversal is folded into the
+    /// windowed pack, radix-2 stages run fused in pairs, and `|S|²` is
+    /// taken in the unpack. Every lane runs the same operations in the
+    /// same order and a short last group is padded with silent frames,
+    /// so a frame's output bits are independent of its position, the
+    /// call's frame count and the instruction set. Under
+    /// [`force_scalar`] the frames go one by one through the full
+    /// complex oracle instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames.len > n`, `window.len() != frames.len`, or an
+    /// output is not `frames.count · (n/2 + 1)` long.
+    pub fn forward_frames(
+        &self,
+        frames: Frames<'_>,
+        window: &[f64],
+        scratch: &mut RfftScratch,
+        power: Option<&mut [f64]>,
+        spectra: Option<&mut [Complex]>,
+    ) {
+        assert!(frames.len <= self.n, "frame length {} exceeds FFT size {}", frames.len, self.n);
+        assert_eq!(window.len(), frames.len, "window length mismatch");
+        let size = frames.count * self.n_bins();
+        assert!(power.as_ref().is_none_or(|p| p.len() == size), "power spectrum length mismatch");
+        assert!(spectra.as_ref().is_none_or(|s| s.len() == size), "spectrum length mismatch");
+        // A 1-point transform is the identity; the oracle covers it.
+        if scalar_forced() || self.n == 1 {
+            return self.frames_oracle(frames, window, &mut scratch.full, power, spectra);
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: guarded by the runtime feature check one line up.
+                return unsafe {
+                    rfft_frames_avx512(self, frames, window, &mut scratch.lanes, power, spectra)
+                };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: guarded by the runtime feature check one line up.
+                return unsafe {
+                    rfft_frames_avx2(self, frames, window, &mut scratch.lanes, power, spectra)
+                };
+            }
+        }
+        rfft_frames_portable(self, frames, window, &mut scratch.lanes, power, spectra);
+    }
+
+    /// The scalar oracle of [`forward_frames`](Self::forward_frames):
+    /// each windowed frame through the full-size complex FFT.
+    fn frames_oracle(
+        &self,
+        frames: Frames<'_>,
+        window: &[f64],
+        full: &mut Vec<Complex>,
+        mut power: Option<&mut [f64]>,
+        mut spectra: Option<&mut [Complex]>,
+    ) {
+        let nb = self.n_bins();
+        full.resize(self.n, Complex::ZERO);
+        for f in 0..frames.count {
+            let seg = frames.frame(f);
+            for (t, z) in full.iter_mut().enumerate() {
+                *z = Complex::new(seg.get(t).map_or(0.0, |&s| s * window[t]), 0.0);
             }
             fft::fft(full);
-            out.copy_from_slice(&full[..self.n_bins()]);
-            return;
+            let bins = &full[..nb];
+            if let Some(p) = power.as_deref_mut() {
+                for (o, z) in p[f * nb..(f + 1) * nb].iter_mut().zip(bins) {
+                    *o = z.norm_sq();
+                }
+            }
+            if let Some(s) = spectra.as_deref_mut() {
+                s[f * nb..(f + 1) * nb].copy_from_slice(bins);
+            }
         }
-        if self.n == 1 {
-            out[0] = Complex::new(signal.first().copied().unwrap_or(0.0), 0.0);
-            return;
+    }
+
+    /// The lane body: frames in groups of `V::N`, each group packed,
+    /// transformed and unpacked in the structure-of-arrays buffer.
+    #[inline(always)]
+    fn frames_in_lanes<V: Lanes>(
+        &self,
+        frames: Frames<'_>,
+        window: &[f64],
+        lanes: &mut Vec<f64>,
+        mut power: Option<&mut [f64]>,
+        mut spectra: Option<&mut [Complex]>,
+    ) {
+        let nb = self.n_bins();
+        lanes.resize(self.n * V::N, 0.0);
+        for first in (0..frames.count).step_by(V::N) {
+            let live = V::N.min(frames.count - first);
+            self.pack::<V>(frames.range(first, live), window, lanes);
+            self.butterflies::<V>(lanes);
+            let (lo, hi) = (first * nb, (first + live) * nb);
+            self.unpack::<V>(
+                lanes,
+                live,
+                power.as_deref_mut().map(|p| &mut p[lo..hi]),
+                spectra.as_deref_mut().map(|s| &mut s[lo..hi]),
+            );
         }
-        let half = self.n / 2;
-        let buf = &mut scratch.half;
-        buf.resize(half, Complex::ZERO);
-        let s = |t: usize| if t < signal.len() { signal[t] } else { 0.0 };
-        for (j, z) in buf.iter_mut().enumerate() {
-            *z = Complex::new(s(2 * j), s(2 * j + 1));
+    }
+
+    /// Windows the group's frames into the lanes of `buf`, sample pairs
+    /// `(2j, 2j+1)` as one complex element, stored at its bit-reversed
+    /// index. Lanes past the group's frames are silent.
+    #[inline(always)]
+    fn pack<V: Lanes>(&self, group: Frames<'_>, window: &[f64], buf: &mut [f64]) {
+        let e = 2 * V::N;
+        for l in 0..V::N {
+            let seg = if l < group.count { group.frame(l) } else { &[] };
+            let (full, rest) = self.rev.split_at(seg.len() / 2);
+            for ((s, w), &r) in seg.chunks_exact(2).zip(window.chunks_exact(2)).zip(full) {
+                let z = &mut buf[r * e..][..e];
+                z[l] = s[0] * w[0];
+                z[V::N + l] = s[1] * w[1];
+            }
+            // An odd-length frame ends on a real-only element; the rest
+            // is zero padding.
+            let mut rest = rest.iter();
+            if seg.len() % 2 == 1 {
+                if let Some(&r) = rest.next() {
+                    let t = seg.len() - 1;
+                    let z = &mut buf[r * e..][..e];
+                    z[l] = seg[t] * window[t];
+                    z[V::N + l] = 0.0;
+                }
+            }
+            for &r in rest {
+                let z = &mut buf[r * e..][..e];
+                z[l] = 0.0;
+                z[V::N + l] = 0.0;
+            }
         }
-        fft::fft(buf);
-        // S[k] = Ze[k] + e^{-2πik/n}·Zo[k], where Ze/Zo are the DFTs of
-        // the even/odd samples recovered from the packed transform Z.
-        for (k, o) in out.iter_mut().enumerate() {
-            let zk = buf[k % half];
-            let zr = buf[(half - k) % half].conj();
-            let ze = (zk + zr).scale(0.5);
-            let d = zk - zr;
-            let zo = Complex::new(d.im * 0.5, -d.re * 0.5); // (zk − zr) / 2i
-            *o = ze + self.tw[k] * zo;
+    }
+
+    /// The half-size decimation-in-time FFT over bit-reversed input,
+    /// radix-2 stages fused in pairs: the first pair has only the
+    /// trivial twiddles `1` and `-i`, later pairs read the stage tables.
+    #[inline(always)]
+    fn butterflies<V: Lanes>(&self, buf: &mut [f64]) {
+        let e = 2 * V::N;
+        let half = buf.len() / e;
+        let mut h = 1;
+        if half >= 4 {
+            for q in buf.chunks_exact_mut(4 * e) {
+                let (q0, rest) = q.split_at_mut(e);
+                let (q1, rest) = rest.split_at_mut(e);
+                let (q2, q3) = rest.split_at_mut(e);
+                let (y0, y1) = butterfly::<V>(get(q0), get(q1));
+                let (y2, y3) = butterfly::<V>(get(q2), get(q3));
+                let (z0, z2) = butterfly(y0, y2);
+                // y1 ± (-i)·y3, where (-i)·y3 = (y3.im, −y3.re).
+                let z1 = (y1.0.add(y3.1), y1.1.sub(y3.0));
+                let z3 = (y1.0.sub(y3.1), y1.1.add(y3.0));
+                put(q0, z0);
+                put(q1, z1);
+                put(q2, z2);
+                put(q3, z3);
+            }
+            h = 4;
+        }
+        while 4 * h <= half {
+            let (wr1, wi1) = (&self.stage_re[h - 1..2 * h - 1], &self.stage_im[h - 1..2 * h - 1]);
+            let (wr2, wi2) =
+                (&self.stage_re[2 * h - 1..4 * h - 1], &self.stage_im[2 * h - 1..4 * h - 1]);
+            for block in buf.chunks_exact_mut(4 * h * e) {
+                let (a, rest) = block.split_at_mut(h * e);
+                let (b, rest) = rest.split_at_mut(h * e);
+                let (c, d) = rest.split_at_mut(h * e);
+                let quads = a
+                    .chunks_exact_mut(e)
+                    .zip(b.chunks_exact_mut(e))
+                    .zip(c.chunks_exact_mut(e).zip(d.chunks_exact_mut(e)));
+                for (j, ((a, b), (c, d))) in quads.enumerate() {
+                    // Stage h on (a, b) and (c, d), then stage 2h on
+                    // (a, c) and (b, d).
+                    let (y0, y1) = butterfly::<V>(get(a), twiddle(get(b), wr1[j], wi1[j]));
+                    let (y2, y3) = butterfly::<V>(get(c), twiddle(get(d), wr1[j], wi1[j]));
+                    let (z0, z2) = butterfly(y0, twiddle(y2, wr2[j], wi2[j]));
+                    let (z1, z3) = butterfly(y1, twiddle(y3, wr2[j + h], wi2[j + h]));
+                    put(a, z0);
+                    put(b, z1);
+                    put(c, z2);
+                    put(d, z3);
+                }
+            }
+            h *= 4;
+        }
+        if 2 * h <= half {
+            let (wr, wi) = (&self.stage_re[h - 1..2 * h - 1], &self.stage_im[h - 1..2 * h - 1]);
+            for block in buf.chunks_exact_mut(2 * h * e) {
+                let (a, b) = block.split_at_mut(h * e);
+                for (j, (a, b)) in a.chunks_exact_mut(e).zip(b.chunks_exact_mut(e)).enumerate() {
+                    let (z0, z1) = butterfly::<V>(get(a), twiddle(get(b), wr[j], wi[j]));
+                    put(a, z0);
+                    put(b, z1);
+                }
+            }
+        }
+    }
+
+    /// Recovers the one-sided spectrum from the packed transform `Z`:
+    /// `S[k] = Ze[k] + e^{-2πik/n}·Zo[k]`, where `Ze`/`Zo` are the DFTs
+    /// of the even/odd samples, and writes `|S[k]|²` and/or `S[k]` of the
+    /// first `live` lanes to their frames' rows.
+    #[inline(always)]
+    fn unpack<V: Lanes>(
+        &self,
+        buf: &[f64],
+        live: usize,
+        mut power: Option<&mut [f64]>,
+        mut spectra: Option<&mut [Complex]>,
+    ) {
+        let e = 2 * V::N;
+        let half = buf.len() / e;
+        let nb = half + 1;
+        // `half` is a power of two: masking is the cheap `% half`.
+        let mask = half - 1;
+        let one_half = V::splat(0.5);
+        let (mut re, mut im, mut pw) = ([0.0; MAX_LANES], [0.0; MAX_LANES], [0.0; MAX_LANES]);
+        for (k, w) in self.tw.iter().enumerate() {
+            let zk: Cx<V> = get(&buf[(k & mask) * e..][..e]);
+            let zr: Cx<V> = get(&buf[((half - k) & mask) * e..][..e]);
+            // Ze = (Z[k] + conj Z[n/2−k]) / 2, Zo = (Z[k] − conj Z[n/2−k]) / 2i.
+            let (er, ei) = (zk.0.add(zr.0).mul(one_half), zk.1.sub(zr.1).mul(one_half));
+            let (or, oi) = (zk.1.add(zr.1).mul(one_half), zr.0.sub(zk.0).mul(one_half));
+            let (wr, wi) = (V::splat(w.re), V::splat(w.im));
+            let sr = er.add(wr.mul(or).sub(wi.mul(oi)));
+            let si = ei.add(wr.mul(oi).add(wi.mul(or)));
+            if let Some(p) = power.as_deref_mut() {
+                sr.mul(sr).add(si.mul(si)).store(&mut pw);
+                for (l, &v) in pw[..live].iter().enumerate() {
+                    p[l * nb + k] = v;
+                }
+            }
+            if let Some(s) = spectra.as_deref_mut() {
+                sr.store(&mut re);
+                si.store(&mut im);
+                for l in 0..live {
+                    s[l * nb + k] = Complex::new(re[l], im[l]);
+                }
+            }
         }
     }
 
@@ -1044,6 +1537,12 @@ mod tests {
         assert_eq!(scalar::dot_i8(&a, &b), -127 * 127 * 4096);
     }
 
+    /// `O(n·ε)` bound of the parity policy, scaled by the frame's
+    /// absolute mass.
+    fn rfft_tol(n: usize, frame: &[f64]) -> f64 {
+        4.0 * n as f64 * f64::EPSILON * (frame.iter().map(|v| v.abs()).sum::<f64>() + 1.0)
+    }
+
     #[test]
     fn rfft_matches_full_fft_oracle() {
         // Degenerate and non-trivial power-of-two sizes, with the input
@@ -1057,15 +1556,172 @@ mod tests {
             let mut got = vec![Complex::ZERO; plan.n_bins()];
             plan.forward(&x, &mut scratch, &mut got);
             let full = fft::rfft(&x, n);
-            let scale: f64 = x.iter().map(|v| v.abs()).sum::<f64>() + 1.0;
+            let tol = rfft_tol(n, &x);
             for (k, (g, w)) in got.iter().zip(&full).enumerate() {
                 assert!(
-                    (g.re - w.re).abs() <= 1e-12 * n as f64 * scale
-                        && (g.im - w.im).abs() <= 1e-12 * n as f64 * scale,
+                    (g.re - w.re).abs() <= tol && (g.im - w.im).abs() <= tol,
                     "n={n} bin {k}: {g:?} vs {w:?}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn forward_frames_matches_full_fft_oracle_at_every_size_and_length() {
+        // Every power of two up to 1024 and every frame length 0..=n, in
+        // calls of 1 frame (one padded group) and of 5 (a full 4-lane
+        // group plus a padded one).
+        let mut scratch = RfftScratch::default();
+        for log_n in 0..=10u32 {
+            let n = 1usize << log_n;
+            let plan = RfftPlan::new(n);
+            let nb = plan.n_bins();
+            for len in 0..=n {
+                let signal = vec_seeded(1000 + (n + len) as u64, len + 4);
+                let window: Vec<f64> =
+                    vec_seeded(7 + len as u64, len).iter().map(|v| v + 1.5).collect();
+                for count in [1usize, 5] {
+                    let frames = Frames { signal: &signal, start: 0, hop: 1, len, count };
+                    let mut power = vec![0.0; count * nb];
+                    let mut spectra = vec![Complex::ZERO; count * nb];
+                    plan.forward_frames(
+                        frames,
+                        &window,
+                        &mut scratch,
+                        Some(&mut power),
+                        Some(&mut spectra),
+                    );
+                    for f in 0..count {
+                        let windowed: Vec<f64> =
+                            frames.frame(f).iter().zip(&window).map(|(s, w)| s * w).collect();
+                        let want = fft::rfft(&windowed, n);
+                        let tol = rfft_tol(n, &windowed);
+                        for k in 0..nb {
+                            let (g, w) = (spectra[f * nb + k], want[k]);
+                            assert!(
+                                (g.re - w.re).abs() <= tol && (g.im - w.im).abs() <= tol,
+                                "n={n} len={len} count={count} frame {f} bin {k}: {g:?} vs {w:?}"
+                            );
+                            // |X|² is taken from the very same bins.
+                            assert_eq!(power[f * nb + k].to_bits(), g.norm_sq().to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The signature every lane body shares.
+    type LaneBody = fn(
+        &RfftPlan,
+        Frames<'_>,
+        &[f64],
+        &mut Vec<f64>,
+        Option<&mut [f64]>,
+        Option<&mut [Complex]>,
+    );
+
+    /// Every lane body this host can run, with its name: the portable
+    /// body always, AVX2 and AVX-512 when detected.
+    fn lane_bodies() -> Vec<(&'static str, LaneBody)> {
+        let mut bodies: Vec<(&'static str, LaneBody)> = vec![("portable", rfft_frames_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the body runs only on hosts that report AVX2.
+                bodies.push(("avx2", |p, f, w, l, pw, s| unsafe {
+                    rfft_frames_avx2(p, f, w, l, pw, s)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the body runs only on hosts that report AVX-512F.
+                bodies.push(("avx512", |p, f, w, l, pw, s| unsafe {
+                    rfft_frames_avx512(p, f, w, l, pw, s)
+                }));
+            }
+        }
+        bodies
+    }
+
+    #[test]
+    fn forward_frames_bits_ignore_lane_group_and_isa() {
+        // A frame's bits must not depend on the body that ran it, how
+        // many frames shared its call, or which lane it landed in.
+        for (seed, n, len, hop) in
+            [(3u64, 2usize, 2usize, 1usize), (4, 16, 11, 3), (5, 512, 400, 160), (6, 256, 256, 97)]
+        {
+            let plan = RfftPlan::new(n);
+            let nb = plan.n_bins();
+            let total = 19;
+            let signal = vec_seeded(seed, (total - 1) * hop + len - 5);
+            let window = vec_seeded(seed ^ 0xF00D, len);
+            let all = Frames { signal: &signal, start: 0, hop, len, count: total };
+            let mut reference = vec![0.0; total * nb];
+            let mut ref_spec = vec![Complex::ZERO; total * nb];
+            rfft_frames_portable(
+                &plan,
+                all,
+                &window,
+                &mut Vec::new(),
+                Some(&mut reference),
+                Some(&mut ref_spec),
+            );
+            for (name, body) in lane_bodies() {
+                for group in [1usize, 2, 3, 4, 5, 7, 8, 9, 19] {
+                    let mut lanes = Vec::new();
+                    let mut power = vec![0.0; total * nb];
+                    let mut first = 0;
+                    while first < total {
+                        let count = group.min(total - first);
+                        let rows = first * nb..(first + count) * nb;
+                        body(
+                            &plan,
+                            all.range(first, count),
+                            &window,
+                            &mut lanes,
+                            Some(&mut power[rows]),
+                            None,
+                        );
+                        first += count;
+                    }
+                    let same =
+                        power.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "{name} body, groups of {group}, n={n}: bits differ from portable"
+                    );
+                }
+            }
+            // The public entry point and its one-frame face agree too.
+            let mut scratch = RfftScratch::default();
+            let mut power = vec![0.0; total * nb];
+            plan.forward_frames(all, &window, &mut scratch, Some(&mut power), None);
+            assert!(power.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()));
+            let mut spec = vec![Complex::ZERO; nb];
+            for f in 0..total {
+                let windowed: Vec<f64> =
+                    all.frame(f).iter().zip(&window).map(|(s, w)| s * w).collect();
+                plan.forward(&windowed, &mut scratch, &mut spec);
+                for (k, z) in spec.iter().enumerate() {
+                    let want = ref_spec[f * nb + k];
+                    assert_eq!(
+                        (z.re.to_bits(), z.im.to_bits()),
+                        (want.re.to_bits(), want.im.to_bits()),
+                        "forward, frame {f} bin {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frames_clamp_at_the_signal_end() {
+        let signal = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let frames = Frames { signal: &signal, start: 1, hop: 2, len: 3, count: 4 };
+        assert_eq!(frames.frame(0), &[2.0, 3.0, 4.0]);
+        assert_eq!(frames.frame(1), &[4.0, 5.0]);
+        assert!(frames.frame(2).is_empty());
+        assert_eq!(frames.range(1, 2).frame(0), &[4.0, 5.0]);
     }
 
     #[test]

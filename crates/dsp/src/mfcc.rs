@@ -16,13 +16,15 @@
 //! [`StreamingMfcc`] is the incremental face of the same pipeline: it
 //! accepts arbitrary sample chunks, carries the pre-emphasis state and the
 //! overlap ring across chunk boundaries, and emits each MFCC row the moment
-//! its analysis window is complete. The one-shot serial path is literally
-//! "one big chunk + flush" through this state machine, so chunked and batch
-//! extraction are byte-identical by construction.
+//! its analysis window is complete. Every path — one-shot serial or
+//! parallel, gradient-caching, streamed — computes its frames with the same
+//! block pipeline over [`RfftPlan::forward_frames`], whose per-frame bits do
+//! not depend on how frames are grouped, so all of them are byte-identical
+//! by construction.
 
 use crate::complex::Complex;
 use crate::frame::{frame_count, overlap_add_adjoint};
-use crate::kernel::{self, DctPlan, RfftPlan, RfftScratch};
+use crate::kernel::{self, DctPlan, Frames, RfftPlan, RfftScratch};
 use crate::mat::Mat;
 use crate::mel::MelFilterbank;
 use crate::window::Window;
@@ -133,7 +135,8 @@ impl MfccCache {
 
 /// Reusable workspace for [`MfccExtractor::extract_into`].
 ///
-/// Holds the pre-emphasis buffer, FFT frame buffer and mel/DCT temporaries.
+/// Holds the pre-emphasis buffer and the block pipeline's FFT lanes,
+/// spectra and mel temporaries.
 /// Buffers grow to the working size on first use and are reused verbatim
 /// afterwards, so repeated extraction allocates nothing in steady state.
 /// A scratch built for one extractor geometry may be reused with another;
@@ -142,15 +145,14 @@ impl MfccCache {
 pub struct MfccScratch {
     emphasized: Vec<f64>,
     bufs: FrameBufs,
-    stream: StreamingMfcc,
 }
 
-/// Per-frame working buffers; [`kernel::par_rows`] workers each own one
-/// so parallel frame extraction never contends.
+/// Working buffers of one block of frames (the FFT lanes, the block's
+/// power spectra, one frame's mel and log-mel rows);
+/// [`kernel::par_row_blocks`] workers each own one so parallel frame
+/// extraction never contends.
 #[derive(Debug, Clone, Default)]
 struct FrameBufs {
-    windowed: Vec<f64>,
-    spec: Vec<Complex>,
     power: Vec<f64>,
     mel: Vec<f64>,
     logmel: Vec<f64>,
@@ -193,16 +195,19 @@ impl MfccExtractor {
         frame_count(n_samples, self.cfg.frame_len, self.cfg.hop)
     }
 
-    fn pre_emphasize_into(&self, samples: &[f64], out: &mut Vec<f64>) {
+    /// Widens `samples` to `f64` and pre-emphasizes them into `out` in
+    /// one pass; a sample's bits are those of `s as f64`, whatever `S`.
+    fn pre_emphasize_into<S: Copy + Into<f64>>(&self, samples: &[S], out: &mut Vec<f64>) {
         let a = self.cfg.pre_emphasis;
         out.clear();
         out.reserve(samples.len());
         if a == 0.0 {
-            out.extend_from_slice(samples);
+            out.extend(samples.iter().map(|&s| s.into()));
             return;
         }
         let mut prev = 0.0;
         for &s in samples {
+            let s: f64 = s.into();
             out.push(s - a * prev);
             prev = s;
         }
@@ -218,11 +223,15 @@ impl MfccExtractor {
 
     /// Extracts MFCCs into `out`, reusing the buffers in `scratch`.
     ///
+    /// `samples` are `f64`, or a waveform's raw `f32` samples, widened
+    /// while pre-emphasizing (bitwise as widening them first would), so
+    /// the caller needs no widened copy.
+    ///
     /// `out` is resized to `n_frames × n_cepstra`; neither it nor `scratch`
     /// allocates once both have reached their steady-state size.
-    pub fn extract_into(
+    pub fn extract_into<S: Copy + Into<f64>>(
         &self,
-        samples: &[f64],
+        samples: &[S],
         scratch: &mut MfccScratch,
         out: &mut FeatureMatrix,
     ) {
@@ -245,100 +254,96 @@ impl MfccExtractor {
         (out, cache)
     }
 
-    /// One frame of the pipeline: window → real FFT → power → mel → log
-    /// → DCT. Leaves the frame's one-sided spectrum in `bufs.spec` and
-    /// its mel energies in `bufs.mel` for a cache-filling caller.
-    fn frame_forward(
+    /// The pipeline over a run of frames, the one spectrum path of every
+    /// MFCC caller: for each block of [`RfftPlan::BLOCK`] frames, the
+    /// windowed real FFT and `|X|²` side by side in SIMD lanes
+    /// ([`RfftPlan::forward_frames`]), then mel → log → DCT per frame into
+    /// `out` (`frames.count × n_cepstra`, row-major). A cache-filling
+    /// caller passes `(spectra, mels)` in the same frame-major layout to
+    /// keep each frame's one-sided spectrum and mel energies.
+    fn frames_forward(
         &self,
-        emphasized: &[f64],
-        f: usize,
+        frames: Frames<'_>,
         bufs: &mut FrameBufs,
-        out_row: &mut [f64],
+        out: &mut [f64],
+        mut cache: Option<(&mut [Complex], &mut [f64])>,
     ) {
         let cfg = &self.cfg;
-        let start = (f * cfg.hop).min(emphasized.len());
-        let end = (start + cfg.frame_len).min(emphasized.len());
-        self.frame_forward_slice(&emphasized[start..end], bufs, out_row);
-    }
-
-    /// [`frame_forward`](Self::frame_forward) on an explicit window slice:
-    /// `frame` holds the first `frame.len() <= frame_len` emphasized samples
-    /// of the window; the remainder is zero-padded. The streaming path calls
-    /// this directly against its carry-over ring.
-    fn frame_forward_slice(&self, frame: &[f64], bufs: &mut FrameBufs, out_row: &mut [f64]) {
-        let cfg = &self.cfg;
-        let n_bins = cfg.n_fft / 2 + 1;
-        bufs.windowed.resize(cfg.frame_len, 0.0);
-        for (t, w) in bufs.windowed.iter_mut().enumerate() {
-            let s = if t < frame.len() { frame[t] } else { 0.0 };
-            *w = s * self.window[t];
+        let (n_bins, n_mels, n_ceps) = (cfg.n_fft / 2 + 1, cfg.n_mels, cfg.n_cepstra);
+        bufs.power.resize(RfftPlan::BLOCK * n_bins, 0.0);
+        bufs.mel.resize(n_mels, 0.0);
+        bufs.logmel.resize(n_mels, 0.0);
+        for first in (0..frames.count).step_by(RfftPlan::BLOCK) {
+            let count = RfftPlan::BLOCK.min(frames.count - first);
+            let power = &mut bufs.power[..count * n_bins];
+            self.plan.forward_frames(
+                frames.range(first, count),
+                &self.window,
+                &mut bufs.rfft,
+                Some(&mut *power),
+                cache.as_mut().map(|(spectra, _)| &mut spectra[first * n_bins..][..count * n_bins]),
+            );
+            for (f, frame_power) in (first..).zip(power.chunks_exact(n_bins)) {
+                let mel = match cache.as_mut() {
+                    Some((_, mels)) => &mut mels[f * n_mels..][..n_mels],
+                    None => &mut bufs.mel[..],
+                };
+                self.filterbank.apply_into(frame_power, mel);
+                for (l, &m) in bufs.logmel.iter_mut().zip(mel.iter()) {
+                    *l = (m + cfg.log_floor).ln();
+                }
+                self.dct.forward_into(&bufs.logmel, &mut out[f * n_ceps..][..n_ceps]);
+            }
         }
-        bufs.spec.resize(n_bins, Complex::ZERO);
-        self.plan.forward(&bufs.windowed, &mut bufs.rfft, &mut bufs.spec);
-        bufs.power.resize(n_bins, 0.0);
-        for (p, z) in bufs.power.iter_mut().zip(&bufs.spec) {
-            *p = z.norm_sq();
-        }
-        bufs.mel.resize(cfg.n_mels, 0.0);
-        self.filterbank.apply_into(&bufs.power, &mut bufs.mel);
-        bufs.logmel.resize(cfg.n_mels, 0.0);
-        for (l, &m) in bufs.logmel.iter_mut().zip(&bufs.mel) {
-            *l = (m + cfg.log_floor).ln();
-        }
-        self.dct.forward_into(&bufs.logmel, out_row);
     }
 
     /// Shared forward pass; fills `cache` when the caller needs gradients.
     ///
-    /// Frames are independent, so the uncached path fans them out over
-    /// [`kernel::par_rows`] workers (each with its own [`FrameBufs`]);
-    /// results are bit-identical at any worker count. On one worker the
-    /// signal runs through [`StreamingMfcc`] as one big chunk plus a flush —
-    /// the same state machine chunked callers drive — so the one-shot and
-    /// streaming paths cannot drift apart. The cache-filling loop stays
-    /// serial in the caller's scratch with zero steady-state allocation.
-    fn forward(
+    /// Every path runs [`frames_forward`](Self::frames_forward) over the
+    /// emphasized signal. Without a cache, and with several kernel
+    /// threads, blocks of frames fan out over [`kernel::par_row_blocks`]
+    /// workers (each with its own [`FrameBufs`]); otherwise the whole run
+    /// goes through the caller's scratch, allocation-free once warm.
+    fn forward<S: Copy + Into<f64>>(
         &self,
-        samples: &[f64],
+        samples: &[S],
         scratch: &mut MfccScratch,
         out: &mut FeatureMatrix,
-        mut cache: Option<&mut MfccCache>,
+        cache: Option<&mut MfccCache>,
     ) {
         let cfg = &self.cfg;
         let n_frames = self.n_frames_for(samples.len());
-        let n_bins = cfg.n_fft / 2 + 1;
-        if let Some(c) = cache.as_deref_mut() {
-            self.pre_emphasize_into(samples, &mut scratch.emphasized);
-            out.reset(n_frames, cfg.n_cepstra);
+        self.pre_emphasize_into(samples, &mut scratch.emphasized);
+        out.reset(n_frames, cfg.n_cepstra);
+        let frames = Frames {
+            signal: &scratch.emphasized,
+            start: 0,
+            hop: cfg.hop,
+            len: cfg.frame_len,
+            count: n_frames,
+        };
+        if let Some(c) = cache {
+            let n_bins = cfg.n_fft / 2 + 1;
             c.n_fft = cfg.n_fft;
             c.n_samples = samples.len();
             c.spectra.clear();
             c.spectra.resize(n_frames * n_bins, Complex::ZERO);
             c.mels.reset(n_frames, cfg.n_mels);
-            let bufs = &mut scratch.bufs;
-            for f in 0..n_frames {
-                self.frame_forward(&scratch.emphasized, f, bufs, out.row_mut(f));
-                c.spectra[f * n_bins..(f + 1) * n_bins].copy_from_slice(&bufs.spec);
-                c.mels.row_mut(f).copy_from_slice(&bufs.mel);
-            }
-        } else if kernel::threads() > 1 && n_frames > 1 {
-            self.pre_emphasize_into(samples, &mut scratch.emphasized);
-            out.reset(n_frames, cfg.n_cepstra);
-            let emphasized = &scratch.emphasized;
-            kernel::par_rows(
+            let cache = Some((&mut c.spectra[..], c.mels.as_mut_slice()));
+            self.frames_forward(frames, &mut scratch.bufs, out.as_mut_slice(), cache);
+        } else if kernel::threads() > 1 && n_frames > RfftPlan::BLOCK {
+            kernel::par_row_blocks(
                 out.as_mut_slice(),
                 cfg.n_cepstra,
+                RfftPlan::BLOCK,
                 FrameBufs::default,
-                |bufs, f, row| {
-                    self.frame_forward(emphasized, f, bufs, row);
+                |bufs, first, rows| {
+                    let block = frames.range(first, rows.len() / cfg.n_cepstra);
+                    self.frames_forward(block, bufs, rows, None);
                 },
             );
         } else {
-            let stream = &mut scratch.stream;
-            stream.reset();
-            out.reset(0, cfg.n_cepstra);
-            stream.push(self, samples, out);
-            stream.finish(self, out);
+            self.frames_forward(frames, &mut scratch.bufs, out.as_mut_slice(), None);
         }
     }
 
@@ -418,8 +423,8 @@ impl MfccExtractor {
 /// overlap requires: the pre-emphasis predecessor sample and a ring of
 /// emphasized samples not yet consumed by an emitted frame. Output is
 /// byte-identical to [`MfccExtractor::extract_into`] for every chunking of
-/// the same signal — the one-shot serial path *is* one big `push` plus
-/// `finish` through this type.
+/// the same signal: each call runs the ready frames through the same
+/// block pipeline, and a frame's bits do not depend on its block.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingMfcc {
     /// Emphasized samples still needed by future frames; `ring[0]` holds
@@ -432,7 +437,8 @@ pub struct StreamingMfcc {
     prev_raw: f64,
     /// Index of the next frame to emit.
     next_frame: usize,
-    row: Vec<f64>,
+    /// Cepstra of the frames one call emits, before they join `out`.
+    rows: Vec<f64>,
     bufs: FrameBufs,
 }
 
@@ -483,17 +489,11 @@ impl StreamingMfcc {
             self.prev_raw = last;
         }
         self.n_samples += chunk.len();
-        self.row.resize(cfg.n_cepstra, 0.0);
-        while self.next_frame * cfg.hop + cfg.frame_len <= self.n_samples {
-            let rel = self.next_frame * cfg.hop - self.ring_start;
-            ex.frame_forward_slice(
-                &self.ring[rel..rel + cfg.frame_len],
-                &mut self.bufs,
-                &mut self.row,
-            );
-            out.push_row(&self.row);
-            self.next_frame += 1;
-        }
+        let complete = match self.n_samples.checked_sub(cfg.frame_len) {
+            Some(past) => past / cfg.hop + 1,
+            None => 0,
+        };
+        self.emit(ex, complete, out);
         // Drop the prefix no future frame can read. The ring never starts
         // past the buffered extent even when hop > frame_len leaves a gap
         // before the next frame's window.
@@ -512,19 +512,33 @@ impl StreamingMfcc {
     /// [`n_frames_for`](MfccExtractor::n_frames_for)`(n_samples)` rows in
     /// total, matching the batch extractor's framing of the full signal.
     pub fn finish(&mut self, ex: &MfccExtractor, out: &mut FeatureMatrix) {
-        let cfg = &ex.cfg;
-        let total = ex.n_frames_for(self.n_samples);
-        self.row.resize(cfg.n_cepstra, 0.0);
-        while self.next_frame < total {
-            // Trailing frames read a short (possibly empty, when hop >
-            // frame_len strands a window past the end) slice of the ring.
-            let rel = (self.next_frame * cfg.hop - self.ring_start).min(self.ring.len());
-            let end = (rel + cfg.frame_len).min(self.ring.len());
-            ex.frame_forward_slice(&self.ring[rel..end], &mut self.bufs, &mut self.row);
-            out.push_row(&self.row);
-            self.next_frame += 1;
-        }
+        // Trailing frames read a short (possibly empty, when hop >
+        // frame_len strands a window past the end) slice of the ring.
+        self.emit(ex, ex.n_frames_for(self.n_samples), out);
         self.reset();
+    }
+
+    /// Emits frames `next_frame .. until` from the ring in one
+    /// [`MfccExtractor::frames_forward`] run and appends their rows.
+    fn emit(&mut self, ex: &MfccExtractor, until: usize, out: &mut FeatureMatrix) {
+        let cfg = &ex.cfg;
+        let count = until.saturating_sub(self.next_frame);
+        if count == 0 {
+            return;
+        }
+        let frames = Frames {
+            signal: &self.ring,
+            start: self.next_frame * cfg.hop - self.ring_start,
+            hop: cfg.hop,
+            len: cfg.frame_len,
+            count,
+        };
+        self.rows.resize(count * cfg.n_cepstra, 0.0);
+        ex.frames_forward(frames, &mut self.bufs, &mut self.rows, None);
+        for row in self.rows.chunks_exact(cfg.n_cepstra) {
+            out.push_row(row);
+        }
+        self.next_frame = until;
     }
 }
 

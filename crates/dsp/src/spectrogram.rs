@@ -5,9 +5,8 @@
 //! for inspection, visualisation and spectral analysis (the MFCC pipeline
 //! in [`crate::mfcc`] embeds the same computation).
 
-use crate::complex::Complex;
-use crate::frame::frames;
-use crate::kernel::{RfftPlan, RfftScratch};
+use crate::frame::frame_count;
+use crate::kernel::{Frames, RfftPlan, RfftScratch};
 use crate::window::Window;
 
 /// A magnitude or power spectrogram: `n_frames × n_bins` with
@@ -86,25 +85,17 @@ pub fn spectrogram(
     assert!(frame_len <= n_fft, "frame longer than FFT size");
     let coeffs = window.coefficients(frame_len);
     let n_bins = n_fft / 2 + 1;
-    let framed = frames(samples, frame_len, hop);
-    let plan = RfftPlan::new(n_fft);
-    let mut scratch = RfftScratch::default();
-    let mut windowed = vec![0.0; frame_len];
-    let mut spec = vec![Complex::ZERO; n_bins];
-    let mut data = Vec::with_capacity(framed.n_rows() * n_bins);
-    for frame in framed.rows() {
-        for ((w, &s), &c) in windowed.iter_mut().zip(frame).zip(&coeffs) {
-            *w = s * c;
-        }
-        plan.forward(&windowed, &mut scratch, &mut spec);
-        data.extend(spec.iter().map(|z| z.norm_sq()));
-    }
-    Spectrogram {
-        n_frames: framed.n_rows(),
-        n_bins,
-        bin_hz: sample_rate as f64 / n_fft as f64,
-        data,
-    }
+    let count = frame_count(samples.len(), frame_len, hop);
+    let frames = Frames { signal: samples, start: 0, hop, len: frame_len, count };
+    let mut data = vec![0.0; count * n_bins];
+    RfftPlan::new(n_fft).forward_frames(
+        frames,
+        &coeffs,
+        &mut RfftScratch::default(),
+        Some(&mut data),
+        None,
+    );
+    Spectrogram { n_frames: count, n_bins, bin_hz: sample_rate as f64 / n_fft as f64, data }
 }
 
 #[cfg(test)]

@@ -36,6 +36,10 @@ const KERNEL_ROOTS: &[&str] = &[
     "quantize_i8",
     "gemm_nt_i8",
     "forward",
+    "forward_frames",
+    // The lane body behind `forward_frames`: its ISA dispatch goes
+    // through macro-generated fns the call graph cannot follow.
+    "frames_in_lanes",
     "hfft",
     "inverse",
 ];

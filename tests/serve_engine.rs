@@ -220,4 +220,16 @@ fn batch_scratch_reuse_is_byte_identical_to_one_shot() {
     let second = asr.transcribe_batch_with(&refs, &mut scratch);
     assert_eq!(first, one_shot, "fresh scratch must match the allocating path");
     assert_eq!(second, one_shot, "reused scratch must match the allocating path");
+
+    // Equal transcripts can hide a sub-ulp drift that flips a verdict
+    // near the decision boundary later: the served logits must equal the
+    // in-process ones bit for bit, through a reused scratch too.
+    let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for round in 0..2 {
+        for wave in &refs {
+            asr.transcribe_batch_with(&[wave], &mut scratch);
+            let served = bits(scratch.logits().as_slice());
+            assert_eq!(served, bits(asr.logits(wave).as_slice()), "round {round}");
+        }
+    }
 }
