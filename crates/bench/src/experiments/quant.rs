@@ -54,23 +54,33 @@ impl AmTiming {
     }
 }
 
-/// Best-of-5 mean wall time per round, with one untimed warm-up round.
-fn time_us(rounds: usize, mut work: impl FnMut()) -> f64 {
-    work();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..rounds {
-            work();
-        }
-        best = best.min(t.elapsed().as_secs_f64() * 1e6 / rounds as f64);
+/// Mean wall time of one of `rounds` back-to-back calls, in µs.
+fn mean_us(rounds: usize, work: &mut impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..rounds {
+        work();
     }
-    best
+    t.elapsed().as_secs_f64() * 1e6 / rounds as f64
+}
+
+/// Best-of-5 [`mean_us`] of two workloads, each after one untimed
+/// warm-up call. The two alternate within every round, so host drift
+/// between rounds lands on both alike rather than on their ratio.
+fn time_pair_us(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        best_a = best_a.min(mean_us(rounds, &mut a));
+        best_b = best_b.min(mean_us(rounds, &mut b));
+    }
+    (best_a, best_b)
 }
 
 /// Times one profile's acoustic model over the benign corpus features,
 /// f64 vs int8. The features are precomputed so only the AM is on the
-/// clock; both paths reuse one scratch, as the serve workers do.
+/// clock; each path reuses its own scratch across calls, as the serve
+/// workers do.
 fn am_timing(ctx: &ExperimentContext, profile: AsrProfile) -> AmTiming {
     let models = ctx.models_dir();
     let asr = profile.trained_in(Some(&models));
@@ -80,20 +90,23 @@ fn am_timing(ctx: &ExperimentContext, profile: AsrProfile) -> AmTiming {
     let frames: usize = feats.iter().map(FeatureMatrix::n_frames).sum();
     let am = asr.acoustic_model();
     let qam = quant.quantized_model().expect("quantized variant carries an int8 model");
-    let mut scratch = AmScratch::default();
-    let mut out = FeatureMatrix::default();
-    let f64_us = time_us(20, || {
-        for f in &feats {
-            am.logit_matrix_into(f, &mut scratch, &mut out);
-        }
-        std::hint::black_box(&out);
-    });
-    let i8_us = time_us(20, || {
-        for f in &feats {
-            qam.logit_matrix_into(f, &mut scratch, &mut out);
-        }
-        std::hint::black_box(&out);
-    });
+    let (mut scratch, mut i8_scratch) = (AmScratch::default(), AmScratch::default());
+    let (mut out, mut i8_out) = (FeatureMatrix::default(), FeatureMatrix::default());
+    let (f64_us, i8_us) = time_pair_us(
+        20,
+        || {
+            for f in &feats {
+                am.logit_matrix_into(f, &mut scratch, &mut out);
+            }
+            std::hint::black_box(&out);
+        },
+        || {
+            for f in &feats {
+                qam.logit_matrix_into(f, &mut i8_scratch, &mut i8_out);
+            }
+            std::hint::black_box(&i8_out);
+        },
+    );
     AmTiming { profile, frames, f64_us, i8_us }
 }
 
@@ -128,16 +141,19 @@ pub fn run_quant_bench(ctx: &ExperimentContext) -> Metrics {
     let ds0 = AsrProfile::Ds0.trained_in(Some(&models));
     let ds0_i8 = AsrProfile::Ds0.trained_quantized_in(Some(&models));
     let waves: Vec<&Waveform> = ctx.benign.utterances().iter().map(|u| &u.wave).collect();
-    let f64_stream_us = time_us(2, || {
-        for w in &waves {
-            std::hint::black_box(ds0.transcribe(w));
-        }
-    });
-    let i8_stream_us = time_us(2, || {
-        for w in &waves {
-            std::hint::black_box(ds0_i8.transcribe(w));
-        }
-    });
+    let (f64_stream_us, i8_stream_us) = time_pair_us(
+        2,
+        || {
+            for w in &waves {
+                std::hint::black_box(ds0.transcribe(w));
+            }
+        },
+        || {
+            for w in &waves {
+                std::hint::black_box(ds0_i8.transcribe(w));
+            }
+        },
+    );
     let f64_rps = waves.len() as f64 / (f64_stream_us / 1e6);
     let i8_rps = waves.len() as f64 / (i8_stream_us / 1e6);
     println!(

@@ -1,9 +1,8 @@
 //! `channel-discipline`: no unbounded channels in the serving plane.
 //!
 //! The engine's overload story depends on every queue having a cap: a
-//! bounded ingress sheds at the door, bounded worker/collector channels
-//! push back instead of buffering without limit, and the loadgen's
-//! pending-ticket channel is sized to the offered schedule. One
+//! bounded ingress sheds at the door, and bounded worker/collector
+//! channels push back instead of buffering without limit. One
 //! `unbounded()` call quietly converts backpressure into unbounded
 //! memory growth under sustained overload. The rule flags construction
 //! of any unbounded channel in `crates/serve/src`:

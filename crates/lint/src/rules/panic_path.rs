@@ -15,8 +15,8 @@
 //! contract, and flagging every subscript would drown the signal.
 //!
 //! Diagnostics carry the full call chain from the entry point to the
-//! panic site, so the finding is evidence, not vibes. `loadgen.rs` is
-//! exempt (it drives the engine from outside), as is all test code.
+//! panic site, so the finding is evidence, not vibes. Test code is
+//! exempt.
 
 use crate::diag::{ChainHop, Diagnostic, Severity};
 use crate::engine::Workspace;
@@ -62,7 +62,7 @@ impl WorkspaceRule for PanicPath {
 
     fn doc(&self) -> &'static str {
         "no panic!/unreachable!/unwrap/expect reachable from serve request entry points \
-         (interprocedural; indexing also denied inside crates/serve; loadgen exempt)"
+         (interprocedural; indexing also denied inside crates/serve)"
     }
 
     fn explain(&self) -> &'static str {
@@ -115,9 +115,6 @@ impl WorkspaceRule for PanicPath {
         let reach = ws.graph.reach(&roots);
         for (file_id, fn_ids) in reached_by_file(ws, &reach) {
             let file = &ws.files[file_id];
-            if file.rel.ends_with("/loadgen.rs") {
-                continue;
-            }
             let index_in_scope = in_serve(&file.rel);
             let toks = file.code();
             for fn_id in fn_ids {

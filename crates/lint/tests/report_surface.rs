@@ -21,7 +21,7 @@ unbounded-with-capacity  warn   in audio/artifact parsers, with_capacity/vec![..
 numeric-truncation       deny   byte-format codecs (wav, artifact) and the quantization plane (ml quant, dsp kernels) must not narrow integers with `as`; use try_into or the saturating helpers
 persist-schema           deny   every `impl Persist for T` declares a `SCHEMA_VERSION` const for its wire format
 todo-markers             deny   no todo!/unimplemented!/dbg! anywhere in non-test workspace code
-panic-path               deny   no panic!/unreachable!/unwrap/expect reachable from serve request entry points (interprocedural; indexing also denied inside crates/serve; loadgen exempt)
+panic-path               deny   no panic!/unreachable!/unwrap/expect reachable from serve request entry points (interprocedural; indexing also denied inside crates/serve)
 float-ordering           deny   scoring/decoding comparators use f64::total_cmp, never partial_cmp(..).unwrap()/expect()
 hot-path-alloc           deny   no heap allocation (Vec/Box/String ctors, with_capacity, to_vec, clone, format!, vec!) reachable from scratch-plan *_into fns or kernel-plane entry points
 suppression-hygiene      deny   every mvp-lint marker is a well-formed allow(<known-rule>) -- <reason>

@@ -37,10 +37,6 @@
 //!   when a shard's queue backs up, per-shard metrics, and steal
 //!   counters.
 //!
-//! The [`loadgen`] module drives an engine or router (anything
-//! implementing [`LoadTarget`]) with deterministic closed-loop,
-//! open-loop, or streaming load for benchmarking.
-//!
 //! ```no_run
 //! use std::sync::Arc;
 //! use mvp_serve::{DegradePolicy, DetectionEngine, EngineConfig};
@@ -57,7 +53,6 @@
 pub mod cache;
 pub mod degrade;
 pub mod engine;
-pub mod loadgen;
 pub mod router;
 pub mod stats;
 
@@ -67,6 +62,5 @@ pub use engine::{
     DetectionEngine, EngineConfig, ModalityReport, PendingVerdict, StreamHandle, SubmitError,
     Verdict, VerdictKind,
 };
-pub use loadgen::{run_load, LoadMode, LoadReport, LoadSpec, LoadTarget, VerdictTally};
 pub use router::{RouterConfig, ShardRouter};
 pub use stats::{LatencyHistogram, ServeStats, StatsSnapshot};

@@ -21,20 +21,12 @@ def add(artifact, metric, value):
 def summarize_serve(doc):
     by_name = {level.get("name", "?"): level for level in doc}
     for level in doc:
-        name = level.get("name", "?")
-        extra = ""
-        if "n_shards" in level:
-            extra = f" steals={sum(level.get('steal_counts', []))}"
-            rates = level.get("shard_cache_hit_rates", [])
-            if rates:
-                extra += " hit=" + "/".join(f"{r:.0%}" for r in rates)
-        if level.get("early_exits"):
-            frac = level.get("mean_verdict_audio_frac", 1.0)
-            extra = (
-                f" early={level['early_exits']}/{level.get('offered', '?')}"
-                f" audio={frac:.0%}"
-            )
-        add("serve", name, f"{level.get('throughput_rps', 0):.1f} rps{extra}")
+        rates = level.get("shard_cache_hit_rates", [])
+        hits = "/".join(f"{r:.0%}" for r in rates)
+        add("serve", level.get("name", "?"),
+            f"{level.get('throughput_rps', 0):.1f} rps"
+            f" answered={level.get('answered', '?')}/{level.get('offered', '?')}"
+            f" steals={sum(level.get('steal_counts', []))} hit={hits}")
     x1 = by_name.get("sharded-x1", {}).get("throughput_rps")
     x4 = by_name.get("sharded-x4", {}).get("throughput_rps")
     if x1 and x4:
@@ -58,9 +50,10 @@ def summarize(path, doc):
         add("modality", "AUC",
             f"similarity {doc.get('similarity_auc', 0):.4f} -> "
             f"fused {doc['fused_auc']:.4f}")
-    elif name == "BENCH_obs.json" and "modes" in doc:
-        worst = max(m.get("overhead_pct", 0) for m in doc["modes"])
-        add("obs", f"{len(doc['modes'])} modes", f"worst overhead {worst:.2f}%")
+    elif name == "BENCH_obs.json" and "disabled_span_overhead_pct" in doc:
+        add("obs", "disabled tracing",
+            f"{doc.get('disabled_span_ns', 0):.1f} ns/site, "
+            f"{doc['disabled_span_overhead_pct']:.4f}% of one detection")
     elif name == "BENCH_lint.json" and "graph_nodes" in doc:
         add("lint", "workspace analysis",
             f"{doc.get('files_scanned', 0)} files, "

@@ -63,17 +63,21 @@ fn engine_verdicts_match_one_shot_detection() {
 
     let policy = DegradePolicy::untrained(system.n_auxiliaries());
     let config = EngineConfig {
-        max_batch: 4,
-        max_delay_ms: 2,
+        // The burst below (every wave plus a duplicate of the first)
+        // fills exactly one batch, and the delay never flushes it early.
+        max_batch: waves.len() + 1,
+        max_delay_ms: 60_000,
         deadline_ms: 60_000, // no deadline may fire in this test
         ..EngineConfig::default()
     };
     let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
 
-    // Submit everything up front so requests overlap in flight.
+    // Submit everything up front so requests overlap in flight; the
+    // duplicate joins the first wave's request inside the batch.
+    let burst = waves.iter().chain([&waves[0]]);
     let pending: Vec<_> =
-        waves.iter().map(|w| engine.submit(Arc::clone(w)).expect("queue has room")).collect();
-    for (pending, expected) in pending.into_iter().zip(&expected) {
+        burst.map(|w| engine.submit(Arc::clone(w)).expect("queue has room")).collect();
+    for (pending, expected) in pending.into_iter().zip(expected.iter().chain([&expected[0]])) {
         let verdict = pending.wait();
         assert_eq!(verdict.kind, VerdictKind::Full);
         assert!(!verdict.from_cache);
@@ -93,8 +97,10 @@ fn engine_verdicts_match_one_shot_detection() {
     assert_eq!(replay.is_adversarial, Some(expected[0].is_adversarial));
 
     let stats = engine.stats();
-    assert_eq!(stats.submitted, waves.len() as u64 + 1);
-    assert_eq!(stats.completed, waves.len() as u64 + 1);
+    assert_eq!(stats.submitted, waves.len() as u64 + 2);
+    assert_eq!(stats.completed, waves.len() as u64 + 2);
+    assert_eq!(stats.batches, 1, "the burst is one micro-batch; the replay is a cache hit");
+    assert_eq!(stats.mean_batch_size, (waves.len() + 1) as f64);
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.deadline_failures, 0);
     assert_eq!(stats.degraded, 0);
