@@ -37,10 +37,14 @@ pub fn greedy_phonemes(logits: &FeatureMatrix, min_run: usize) -> Vec<Phoneme> {
 /// Incremental greedy best-path state: per-frame argmax labels folded into
 /// `(label, run length)` pairs as frames arrive.
 ///
-/// The streaming ASR path pushes each new logit row here and can ask for
-/// the running phoneme sequence at any point; [`greedy_phonemes`] drives
-/// the same accumulator over a whole matrix, so the final chunked decode is
-/// byte-identical to the batch decode.
+/// Runs only grow at the end, and a run that has reached `min_run` frames
+/// stays emitted, so [`phonemes`](Self::phonemes) only grows at its end
+/// too: of all runs, only the last can still turn from dropped to emitted.
+/// `emit_from` hands out that growth run by run. The streaming ASR path
+/// pushes each new logit row here and feeds the growth to the decoder's
+/// incremental word state instead of rebuilding the sequence per poll;
+/// [`greedy_phonemes`] drives the same accumulator over a whole matrix, so
+/// the final chunked decode is byte-identical to the batch decode.
 #[derive(Debug, Clone, Default)]
 pub struct RunAccumulator {
     /// `(label, length)` for each maximal run of equal argmax labels.
@@ -81,16 +85,33 @@ impl RunAccumulator {
     /// phoneme sequence of the frames seen so far.
     pub fn phonemes(&self, min_run: usize) -> Vec<Phoneme> {
         let mut out: Vec<Phoneme> = Vec::new();
-        for &(label, n) in &self.runs {
-            if n < min_run {
-                continue;
-            }
-            let ph = Phoneme::from_index(label);
+        self.emit_from(min_run, &mut 0, |ph| {
             if out.last() != Some(&ph) {
                 out.push(ph);
             }
-        }
+        });
         out
+    }
+
+    /// Emits, in order, the phoneme of each run from index `*next` on that
+    /// [`phonemes`](Self::phonemes)`(min_run)` keeps (before it collapses
+    /// repeats), and moves `*next` past every run whose fate is final: the
+    /// emitted runs, and the dropped ones that a later run has closed. A
+    /// last run still short of `min_run` stays pending for the next call.
+    pub(crate) fn emit_from(
+        &self,
+        min_run: usize,
+        next: &mut usize,
+        mut emit: impl FnMut(Phoneme),
+    ) {
+        for (i, &(label, n)) in self.runs.iter().enumerate().skip(*next) {
+            if n >= min_run {
+                emit(Phoneme::from_index(label));
+            } else if i + 1 == self.runs.len() {
+                return;
+            }
+            *next = i + 1;
+        }
     }
 }
 

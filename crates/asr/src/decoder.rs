@@ -11,7 +11,7 @@
 use mvp_dsp::mfcc::FeatureMatrix;
 use mvp_phonetics::{Lexicon, Phoneme};
 
-use crate::ctc::greedy_phonemes;
+use crate::ctc::{greedy_phonemes, RunAccumulator};
 use crate::lm::BigramLm;
 
 /// Decoder tuning parameters.
@@ -75,74 +75,141 @@ impl Decoder {
         self.decode_phonemes(&seq)
     }
 
-    /// Decodes the frames accumulated in an incremental greedy-CTC state —
-    /// the running-best transcript of a stream in flight, and, after the
-    /// last frame, exactly what [`decode`](Self::decode) produces for the
-    /// full logit matrix.
-    pub fn decode_runs(&self, acc: &crate::ctc::RunAccumulator) -> String {
-        self.decode_phonemes(&acc.phonemes(self.cfg.min_run))
+    /// Decodes an explicit collapsed phoneme sequence (with SIL word
+    /// separators) to a transcription: every word chunk between SILs is
+    /// scored against the lexicon and stepped through the Viterbi in turn,
+    /// then the best path is read back.
+    ///
+    /// A stream's incremental decode (`PrefixDecode`, kept by
+    /// [`AsrStream`](crate::AsrStream)) runs the same steps one chunk at a
+    /// time, as each chunk closes, so its running transcript is
+    /// byte-identical to this on the sequence it has seen.
+    pub fn decode_phonemes(&self, seq: &[Phoneme]) -> String {
+        let mut lattice = Lattice::default();
+        for chunk in seq.split(|&p| p == Phoneme::SIL).filter(|c| !c.is_empty()) {
+            let (col, score) = self.viterbi_step(&lattice, self.chunk_candidates(chunk));
+            lattice.push(col, score);
+        }
+        self.best_path(&lattice, None)
     }
 
-    /// Decodes an explicit collapsed phoneme sequence (with SIL word
-    /// separators) to a transcription.
-    pub fn decode_phonemes(&self, seq: &[Phoneme]) -> String {
-        let chunks: Vec<&[Phoneme]> =
-            seq.split(|&p| p == Phoneme::SIL).filter(|c| !c.is_empty()).collect();
-        if chunks.is_empty() {
-            return String::new();
-        }
-        // Candidate words per chunk.
-        let candidates: Vec<Vec<(usize, f64)>> =
-            chunks.iter().map(|c| self.chunk_candidates(c)).collect();
-        // Viterbi over chunks.
-        let first = &candidates[0];
-        let mut score: Vec<f64> = first
-            .iter()
-            .map(|&(w, edit)| {
-                self.cfg.edit_weight * edit
-                    - self.cfg.lm_weight * self.lm.log_prob(None, &self.vocab[w].0)
-            })
-            .collect();
-        let mut back: Vec<Vec<usize>> = vec![vec![0; first.len()]];
-        for ci in 1..candidates.len() {
-            let cur = &candidates[ci];
-            let prev = &candidates[ci - 1];
-            let mut new_score = Vec::with_capacity(cur.len());
-            let mut new_back = Vec::with_capacity(cur.len());
-            for &(w, edit) in cur {
-                let word = &self.vocab[w].0;
-                let (best_prev, best) = prev
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, &(pw, _))| {
-                        (
-                            pi,
-                            score[pi]
-                                - self.cfg.lm_weight
-                                    * self.lm.log_prob(Some(&self.vocab[pw].0), word),
-                        )
-                    })
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    // mvp-lint: allow(panic-path) -- chunk_candidates yields >= 1 entry for the non-empty vocab asserted in `new`
-                    .expect("non-empty candidates");
-                new_score.push(best + self.cfg.edit_weight * edit);
-                new_back.push(best_prev);
+    /// Advances `state` over the phonemes `runs` has emitted since the
+    /// last call. Each phoneme of the open word chunk adds one row to the
+    /// chunk's edit distances against every word; each chunk that a SIL
+    /// closes takes its candidates from those distances and is stepped
+    /// through the Viterbi here, once. Call it after any number of pushes
+    /// into `runs`; `runs` must be the accumulator `state` has followed
+    /// since both were last reset.
+    pub(crate) fn advance_prefix(&self, state: &mut PrefixDecode, runs: &RunAccumulator) {
+        let PrefixDecode { next_run, last, open_len, dist, spare, closed } = state;
+        runs.emit_from(self.cfg.min_run, next_run, |ph| {
+            if *last == Some(ph) {
+                return; // collapsed, as in `RunAccumulator::phonemes`
             }
-            score = new_score;
-            back.push(new_back);
+            *last = Some(ph);
+            if ph != Phoneme::SIL {
+                self.extend_open(dist, spare, *open_len, ph);
+                *open_len += 1;
+            } else if *open_len > 0 {
+                let (col, score) = self.viterbi_step(closed, self.open_candidates(dist, *open_len));
+                closed.push(col, score);
+                *open_len = 0;
+            }
+        });
+    }
+
+    /// The transcript of the phonemes `state` has seen: one Viterbi step
+    /// for the open chunk, if any, then the backtrack. Byte-identical to
+    /// [`decode_phonemes`](Self::decode_phonemes) on the accumulator's
+    /// [`phonemes`](RunAccumulator::phonemes)`(min_run)`.
+    pub(crate) fn decode_prefix(&self, state: &PrefixDecode) -> String {
+        if state.open_len == 0 {
+            return self.best_path(&state.closed, None);
         }
-        // Backtrack.
-        let mut idx = score
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            // mvp-lint: allow(panic-path) -- `score` carries one entry per candidate; vocab is asserted non-empty in `new`
-            .expect("non-empty final candidates");
-        let mut words = Vec::with_capacity(candidates.len());
-        for ci in (0..candidates.len()).rev() {
-            words.push(self.vocab[candidates[ci][idx].0].0.clone());
-            idx = back[ci][idx];
+        let cands = self.open_candidates(&state.dist, state.open_len);
+        let (tail, score) = self.viterbi_step(&state.closed, cands);
+        self.best_path(&state.closed, Some((&tail, &score)))
+    }
+
+    /// Appends phoneme `pa`, the `i`-th of the open chunk, to the chunk's
+    /// edit-distance rows against every word (`dist`, concatenated in
+    /// vocab order; `spare` is the buffer the new rows are built in).
+    fn extend_open(&self, dist: &mut Vec<usize>, spare: &mut Vec<usize>, i: usize, pa: Phoneme) {
+        if i == 0 {
+            dist.clear();
+            for (_, pron) in &self.vocab {
+                dist.extend(0..=pron.len());
+            }
+        }
+        spare.resize(dist.len(), 0);
+        let mut at = 0;
+        for (_, pron) in &self.vocab {
+            let end = at + pron.len() + 1;
+            edit_row(i, pa, pron, &dist[at..end], &mut spare[at..end]);
+            at = end;
+        }
+        std::mem::swap(dist, spare);
+    }
+
+    /// Top-k candidates for an open chunk of `len` phonemes, read off its
+    /// edit-distance rows: the list `chunk_candidates` computes from the
+    /// phonemes.
+    fn open_candidates(&self, dist: &[usize], len: usize) -> Vec<(usize, f64)> {
+        let mut end = 0;
+        self.top_k(self.vocab.iter().enumerate().map(|(i, (_, pron))| {
+            end += pron.len() + 1;
+            (i, normalised(dist[end - 1], len, pron.len()))
+        }))
+    }
+
+    /// One Viterbi step from the last column of `lattice` into a word chunk
+    /// with candidates `cands`: the candidates with their best
+    /// predecessors, and the path score of each. A first chunk starts its
+    /// paths from the language model's sentence start.
+    fn viterbi_step(&self, lattice: &Lattice, cands: Vec<(usize, f64)>) -> (Column, Vec<f64>) {
+        let prev = lattice.cols.last();
+        let mut back = Vec::with_capacity(cands.len());
+        let mut score = Vec::with_capacity(cands.len());
+        for &(w, edit) in &cands {
+            let word = &self.vocab[w].0;
+            let Some(prev) = prev else {
+                score.push(
+                    self.cfg.edit_weight * edit - self.cfg.lm_weight * self.lm.log_prob(None, word),
+                );
+                back.push(0);
+                continue;
+            };
+            // Candidate lists are never empty (the vocab is asserted
+            // non-empty in `new`), so the fallback is never taken.
+            let (best_prev, best) = prev
+                .cands
+                .iter()
+                .zip(&lattice.score)
+                .enumerate()
+                .map(|(pi, (&(pw, _), &s))| {
+                    (pi, s - self.cfg.lm_weight * self.lm.log_prob(Some(&self.vocab[pw].0), word))
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .unwrap_or((0, f64::INFINITY));
+            score.push(best + self.cfg.edit_weight * edit);
+            back.push(best_prev);
+        }
+        (Column { cands, back }, score)
+    }
+
+    /// The best word sequence through `lattice`, extended by an open
+    /// `tail` column and its path scores when given.
+    fn best_path(&self, lattice: &Lattice, tail: Option<(&Column, &[f64])>) -> String {
+        let score = tail.map_or(lattice.score.as_slice(), |(_, s)| s);
+        let Some(mut idx) =
+            score.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i)
+        else {
+            return String::new();
+        };
+        let mut words = Vec::with_capacity(lattice.cols.len() + 1);
+        for col in tail.map(|(col, _)| col).into_iter().chain(lattice.cols.iter().rev()) {
+            words.push(self.vocab[col.cands[idx].0].0.as_str());
+            idx = col.back[idx];
         }
         words.reverse();
         words.join(" ")
@@ -151,18 +218,88 @@ impl Decoder {
     /// Top-k `(vocab index, normalised edit distance)` candidates for a
     /// chunk of phonemes.
     fn chunk_candidates(&self, chunk: &[Phoneme]) -> Vec<(usize, f64)> {
-        let mut scored: Vec<(usize, f64)> = self
-            .vocab
-            .iter()
-            .enumerate()
-            .map(|(i, (_, pron))| {
-                let d = phoneme_edit_distance(chunk, pron);
-                (i, d as f64 / chunk.len().max(pron.len()) as f64)
-            })
-            .collect();
+        self.top_k(self.vocab.iter().enumerate().map(|(i, (_, pron))| {
+            (i, normalised(phoneme_edit_distance(chunk, pron), chunk.len(), pron.len()))
+        }))
+    }
+
+    /// The `top_k` best `(vocab index, normalised edit distance)` scores,
+    /// in `(distance, index)` order.
+    fn top_k(&self, scores: impl Iterator<Item = (usize, f64)>) -> Vec<(usize, f64)> {
+        let mut scored: Vec<(usize, f64)> = scores.collect();
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         scored.truncate(self.cfg.top_k.max(1));
         scored
+    }
+}
+
+/// Edit distance `d` between sequences of lengths `a` and `b`, over the
+/// longer one.
+fn normalised(d: usize, a: usize, b: usize) -> f64 {
+    d as f64 / a.max(b) as f64
+}
+
+/// One word chunk of the Viterbi lattice.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    /// Top-k `(vocab index, normalised edit distance)` candidates.
+    cands: Vec<(usize, f64)>,
+    /// Per candidate, its best predecessor in the previous column.
+    back: Vec<usize>,
+}
+
+/// The Viterbi lattice over a run of word chunks.
+#[derive(Debug, Clone, Default)]
+struct Lattice {
+    cols: Vec<Column>,
+    /// Path score of each candidate of the last column.
+    score: Vec<f64>,
+}
+
+impl Lattice {
+    /// Appends a column and its path scores from [`Decoder::viterbi_step`].
+    fn push(&mut self, col: Column, score: Vec<f64>) {
+        self.cols.push(col);
+        self.score = score;
+    }
+}
+
+/// The running word decode of one stream, kept by
+/// [`AsrStream`](crate::AsrStream).
+///
+/// The phonemes a [`RunAccumulator`] emits only grow at the end, so a word
+/// chunk followed by a SIL is final: [`Decoder::advance_prefix`] scores
+/// and steps it once, when that SIL arrives, and keeps its candidates,
+/// back-pointers and the score row. The open chunk after the last SIL
+/// only grows too, so its edit distances to every word are kept as DP
+/// rows that gain one row per phoneme. [`Decoder::decode_prefix`] then
+/// costs a top-k over those distances, one Viterbi step and a backtrack,
+/// not the whole prefix.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrefixDecode {
+    /// Runs of the accumulator already emitted or dropped.
+    next_run: usize,
+    /// The last phoneme emitted, against which repeats collapse.
+    last: Option<Phoneme>,
+    /// Phonemes in the open chunk, after the last SIL.
+    open_len: usize,
+    /// The open chunk's last edit-distance DP row against each word's
+    /// pronunciation, concatenated in vocab order.
+    dist: Vec<usize>,
+    /// The buffer [`Decoder::extend_open`] builds the next rows in.
+    spare: Vec<usize>,
+    /// The lattice over the closed chunks.
+    closed: Lattice,
+}
+
+impl PrefixDecode {
+    /// Clears the state for a new utterance, keeping capacity.
+    pub(crate) fn reset(&mut self) {
+        self.next_run = 0;
+        self.last = None;
+        self.open_len = 0;
+        self.closed.cols.clear();
+        self.closed.score.clear();
     }
 }
 
@@ -177,14 +314,21 @@ pub fn phoneme_edit_distance(a: &[Phoneme], b: &[Phoneme]) -> usize {
     let mut prev: Vec<usize> = (0..=b.len()).collect();
     let mut cur = vec![0usize; b.len() + 1];
     for (i, &pa) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &pb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(pa != pb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
+        edit_row(i, pa, b, &prev, &mut cur);
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[b.len()]
+}
+
+/// One row of the Levenshtein DP: from `prev`, the distances of a
+/// sequence's first `i` phonemes to every prefix of `b`, fills `cur` with
+/// those of its first `i + 1`, whose last is `pa`.
+fn edit_row(i: usize, pa: Phoneme, b: &[Phoneme], prev: &[usize], cur: &mut [usize]) {
+    cur[0] = i + 1;
+    for (j, &pb) in b.iter().enumerate() {
+        let sub = prev[j] + usize::from(pa != pb);
+        cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +477,85 @@ mod tests {
         // The transcript is arbitrary under NaN scoring; surviving the
         // decode is the contract.
         let _ = d.decode(&logits_for(&seq, 5));
+    }
+
+    /// A seeded label stream for the prefix-decode property: runs of 1–4
+    /// frames over lexicon words with one-frame glitches, and between
+    /// words a SIL run with probability `sil_per_mille`/1000 (0 makes the
+    /// stream SIL-free). Every fourth stream is labels drawn at random.
+    fn label_stream(seed: u64, sil_per_mille: u32, n: usize) -> Vec<usize> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let lex = Lexicon::builtin();
+        let words: Vec<&str> = lex.words().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut labels = Vec::with_capacity(n + 8);
+        let sil = Phoneme::SIL.index();
+        let any = |rng: &mut StdRng| loop {
+            let label = rng.gen_range(0..Phoneme::COUNT);
+            if label != sil || sil_per_mille > 0 {
+                return label;
+            }
+        };
+        let run = |label: usize, rng: &mut StdRng, labels: &mut Vec<usize>| {
+            labels.extend(std::iter::repeat_n(label, rng.gen_range(1..=4)));
+        };
+        while labels.len() < n {
+            if rng.gen_range(0..1000) < sil_per_mille {
+                run(sil, &mut rng, &mut labels);
+            }
+            if seed.is_multiple_of(4) {
+                let label = any(&mut rng);
+                run(label, &mut rng, &mut labels);
+                continue;
+            }
+            for p in lex.pronounce(words[rng.gen_range(0..words.len())]) {
+                run(p.index(), &mut rng, &mut labels);
+                if rng.gen_range(0..8) == 0 {
+                    labels.push(any(&mut rng));
+                }
+            }
+        }
+        labels.truncate(n);
+        labels
+    }
+
+    proptest::proptest! {
+        /// The running transcript of the incremental decode equals the
+        /// from-scratch decode of the accumulator's phonemes after every
+        /// frame, byte for byte — and when the decode catches up only
+        /// every few frames.
+        #[test]
+        fn prefix_decode_matches_from_scratch_after_every_frame(
+            seed in 0u64..1_000_000,
+            min_run in 1usize..5,
+            sil_per_mille in proptest::sample::select(vec![0u32, 150, 600]),
+            catch_up in 1usize..4,
+        ) {
+            let d = Decoder::new(
+                &Lexicon::builtin(),
+                decoder().lm().clone(),
+                DecoderConfig { min_run, ..DecoderConfig::default() },
+            );
+            let mut acc = RunAccumulator::default();
+            let mut state = PrefixDecode::default();
+            for (t, label) in label_stream(seed, sil_per_mille, 120).into_iter().enumerate() {
+                acc.push_label(label);
+                if t % catch_up != 0 {
+                    continue;
+                }
+                d.advance_prefix(&mut state, &acc);
+                proptest::prop_assert_eq!(
+                    d.decode_prefix(&state),
+                    d.decode_phonemes(&acc.phonemes(min_run))
+                );
+            }
+            state.reset();
+            acc.reset();
+            d.advance_prefix(&mut state, &acc);
+            proptest::prop_assert_eq!(d.decode_prefix(&state), "");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use mvp_phonetics::Phoneme;
 
 use crate::am::{AcousticModel, AmScratch, QuantizedAcousticModel};
 use crate::ctc::{ctc_loss_and_grad, RunAccumulator};
-use crate::decoder::Decoder;
+use crate::decoder::{Decoder, PrefixDecode};
 use crate::features::{FeatureFrontEnd, FrontEndScratch, FrontEndStream};
 
 /// A speech recogniser: audio in, transcription out.
@@ -205,19 +205,22 @@ impl TrainedAsr {
     /// in the last push). Runs the same batched
     /// [`AcousticModel::logit_matrix_into`] entry point as the one-shot
     /// path — its rows are bit-identical at any batch size, which is what
-    /// makes chunked and batch logits agree exactly.
+    /// makes chunked and batch logits agree exactly. Word chunks the new
+    /// frames close are decoded here, once.
     fn extend_with_frames(&self, stream: &mut AsrStream) -> usize {
         self.am_forward(&stream.feats, &mut stream.am, &mut stream.logits);
         for row in stream.logits.rows() {
             stream.runs.push_logits_row(row);
         }
+        self.decoder.advance_prefix(&mut stream.words, &stream.runs);
         stream.logits.n_frames()
     }
 
     /// The running best transcript of the frames decoded so far — the
-    /// incremental detector polls this between chunks.
+    /// incremental detector polls this between chunks. It decodes only
+    /// the open word chunk; the closed ones were decoded as they closed.
     pub fn stream_transcript(&self, stream: &AsrStream) -> String {
-        self.decoder.decode_runs(&stream.runs)
+        self.decoder.decode_prefix(&stream.words)
     }
 
     /// Flushes the trailing partial frames, returns the final transcript
@@ -226,7 +229,7 @@ impl TrainedAsr {
         stream.feats.reset(0, self.frontend.dim());
         stream.frontend.finish(&self.frontend, &mut stream.feats);
         self.extend_with_frames(stream);
-        let text = self.decoder.decode_runs(&stream.runs);
+        let text = self.decoder.decode_prefix(&stream.words);
         stream.reset();
         text
     }
@@ -339,6 +342,8 @@ pub struct AsrStream {
     logits: FeatureMatrix,
     am: AmScratch,
     runs: RunAccumulator,
+    /// The word decode of what `runs` has emitted.
+    words: PrefixDecode,
     n_samples: usize,
 }
 
@@ -347,6 +352,7 @@ impl AsrStream {
     pub fn reset(&mut self) {
         self.frontend.reset();
         self.runs.reset();
+        self.words.reset();
         self.n_samples = 0;
     }
 
@@ -525,6 +531,41 @@ mod tests {
             "running {:?} vs final {fin:?}",
             runnings.last().unwrap()
         );
+    }
+
+    #[test]
+    fn running_transcript_matches_from_scratch_decode_at_every_push() {
+        use crate::profile::AsrProfile;
+        use mvp_audio::synth::{SpeakerProfile, Synthesizer};
+        use mvp_phonetics::Lexicon;
+
+        let synth = Synthesizer::new(16_000);
+        let (wave, _) =
+            synth.synthesize(&Lexicon::builtin(), "turn on the light", &SpeakerProfile::default());
+        let samples = wave.to_f64();
+        let mut stream = AsrStream::default();
+        for profile in AsrProfile::ALL {
+            let asr = profile.trained();
+            let reference = asr.transcribe(&wave);
+            let min_run = asr.decoder().config().min_run;
+            let frame = asr.frontend().mfcc_config().hop * asr.frontend().subsample();
+            for chunk_len in [1, frame, 777, 4000] {
+                let mut from_scratch = String::new();
+                for chunk in samples.chunks(chunk_len) {
+                    if asr.stream_push(&mut stream, chunk) > 0 {
+                        let seq = stream.runs.phonemes(min_run);
+                        from_scratch = asr.decoder().decode_phonemes(&seq);
+                    }
+                    assert_eq!(
+                        asr.stream_transcript(&stream),
+                        from_scratch,
+                        "{} in {chunk_len}-sample chunks",
+                        asr.name()
+                    );
+                }
+                assert_eq!(asr.stream_finish(&mut stream), reference, "{}", asr.name());
+            }
+        }
     }
 
     const BENIGN_PHRASES: [&str; 4] =

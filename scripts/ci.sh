@@ -8,11 +8,12 @@ cargo fmt --check
 RUSTFLAGS="-Dwarnings" cargo build --release
 cargo test -q
 
-# Unit tests of the library invariants CI relies on beyond the facade's
-# integration tests: kernel-vs-oracle parity (mvp-dsp), artifact round
-# trips and corruption refusal at both precisions (mvp-asr) and
-# fused-classifier persistence (mvp-ears).
-cargo test --release -q -p mvp-dsp -p mvp-asr -p mvp-ears
+# Every workspace crate's own tests beyond the facade's integration
+# tests: kernel-vs-oracle parity (mvp-dsp), the streaming decode against
+# its from-scratch oracle and artifact round trips (mvp-asr), the serve
+# engine's stream and batch paths (mvp-serve), the lint's rule goldens
+# (mvp-lint), and the rest.
+cargo test --release -q --workspace
 
 # The serving benchmark is a package of its own; its unit tests compile
 # against the mvp-serve API it drives, so an API break fails here.
