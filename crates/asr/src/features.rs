@@ -199,9 +199,9 @@ impl FeatureFrontEnd {
 ///
 /// The boundary clamp makes the right edge depend on the final frame
 /// count, so stacked row `i` (centre MFCC frame `f = i·subsample`) is
-/// emitted once MFCC frame `f + context` is complete; [`finish`]
-/// (Self::finish) emits the clamped remainder. Output across any chunking
-/// is byte-identical to [`FeatureFrontEnd::features_into`].
+/// emitted once MFCC frame `f + context` is complete;
+/// [`finish`](Self::finish) emits the clamped remainder. Output across
+/// any chunking is byte-identical to [`FeatureFrontEnd::features_into`].
 #[derive(Debug, Clone, Default)]
 pub struct FrontEndStream {
     mfcc_stream: mvp_dsp::StreamingMfcc,

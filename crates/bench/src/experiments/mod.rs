@@ -13,7 +13,6 @@ pub mod modality;
 pub mod obs;
 pub mod perf;
 pub mod quant;
-pub mod serve;
 pub mod similarity;
 pub mod transfer;
 pub mod unseen;
@@ -64,7 +63,7 @@ impl Run {
 
 /// Every experiment by its `run_all` name, in paper order (the order a
 /// full `run_all` prints them).
-pub const EXPERIMENTS: [(&str, Run); 25] = [
+pub const EXPERIMENTS: [(&str, Run); 24] = [
     ("table1", Run::Report(data::table1)),
     ("table2", Run::Report(data::table2)),
     ("fig4", Run::Report(data::fig4)),
@@ -85,7 +84,6 @@ pub const EXPERIMENTS: [(&str, Run); 25] = [
     ("adaptive", Run::Report(adaptive::adaptive)),
     ("ablation", Run::Report(ablation::ablation)),
     ("modality", Run::Measure(modality::run_modality_bench)),
-    ("serve", Run::Measure(serve::run_serve_bench)),
     ("obs", Run::Measure(obs::run_obs_bench)),
     ("dataplane", Run::Measure(dataplane::run_dataplane_bench)),
     ("artifact", Run::Report(artifact::run_artifact_bench)),

@@ -26,7 +26,7 @@ const SPAN_SITES_PER_REQUEST: f64 = 64.0;
 
 /// Measures the disabled-span cost against one detection and writes
 /// [`ARTIFACT`]. Returns `disabled_span_overhead_pct`:
-/// [`SPAN_SITES_PER_REQUEST`] disabled span sites as a percentage of one
+/// `SPAN_SITES_PER_REQUEST` disabled span sites as a percentage of one
 /// detection.
 pub fn run_obs_bench(ctx: &ExperimentContext) -> Metrics {
     println!("== observability plane: disabled-tracing overhead ==");

@@ -48,14 +48,10 @@ pub struct Gate {
 }
 
 /// Every gate `run_all --gate` checks, in run order.
-pub const GATES: [Gate; 7] = [
+pub const GATES: [Gate; 5] = [
     // Fusion may not lose to the similarity-only baseline; the slack
     // absorbs float rounding between two AUCs of equal rank order.
     Gate { experiment: "modality", metric: "fused_auc_gain", bound: Bound::AtLeast(-1e-9) },
-    // Four shards beat one through cache affinity, not cores: the
-    // per-shard cache is smaller than the distinct-waveform set.
-    Gate { experiment: "serve", metric: "shard_x4_speedup", bound: Bound::AtLeast(1.5) },
-    Gate { experiment: "serve", metric: "sharded_answered_frac", bound: Bound::AtLeast(1.0) },
     // Instrumentation may not tax the serving path while tracing is off.
     Gate { experiment: "obs", metric: "disabled_span_overhead_pct", bound: Bound::AtMost(2.0) },
     // Tuned kernels may not lose to their scalar fallback end to end;

@@ -67,9 +67,9 @@ impl FusionLayout {
         self.n_similarity + self.blocks.iter().map(|k| k.feature_dim()).sum::<usize>()
     }
 
-    /// Width of the vector the inner classifier sees: [`raw_dim`]
-    /// (`Self::raw_dim`) plus the derived one-class feature when the
-    /// instability block is present.
+    /// Width of the vector the inner classifier sees:
+    /// [`raw_dim`](Self::raw_dim) plus the derived one-class feature when
+    /// the instability block is present.
     pub fn fused_dim(&self) -> usize {
         self.raw_dim() + usize::from(self.has_instability())
     }

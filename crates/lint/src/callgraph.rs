@@ -20,7 +20,7 @@
 //!   associated fns (imported via `use Type::name`).
 //!
 //! Two deliberate precision carve-outs keep the over-approximation
-//! usable. Method names on the [`STD_METHODS`] list (`push`, `len`,
+//! usable. Method names on the `STD_METHODS` list (`push`, `len`,
 //! `clone`, iterator adapters, ...) are assumed to be the std prelude
 //! method and produce no edge — a workspace method that *shadows* one
 //! of these names is invisible to the sweep unless it is itself a rule

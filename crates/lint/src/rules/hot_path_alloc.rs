@@ -68,7 +68,7 @@ impl WorkspaceRule for HotPathAlloc {
         "The scratch-buffer convention (`*_into(..., scratch)`) exists so the steady-state \
          detection pipeline — framing, mel, DCT, acoustic scoring, quantized matmul — runs \
          allocation-free after warm-up. Allocation in that path is not wrong, it is slow in \
-         a way no test catches: malloc contention under the sharded engine, page faults in \
+         a way no test catches: malloc contention between the engine's workers, page faults in \
          the first seconds of a stream, benchmark noise that masks real regressions. This \
          rule walks the call graph from every non-test `*_into` fn in the numeric crates \
          and from the kernel-plane entry points (dot/gemv/gemm_nt/fft/dct and their i8 \

@@ -1,6 +1,6 @@
 //! L2-regularised logistic regression.
 //!
-//! Carlini et al.'s hidden-voice-command defense (the paper's ref. [60])
+//! Carlini et al.'s hidden-voice-command defense (the paper's ref. \[60\])
 //! uses a logistic-regression classifier; it is provided here both for that
 //! comparison and as a calibrated-probability alternative to the SVM.
 

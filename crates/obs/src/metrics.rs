@@ -129,7 +129,7 @@ fn bucket_upper_edge(i: usize) -> u64 {
     u64::try_from(upper).unwrap_or(u64::MAX)
 }
 
-/// A concurrent log-linear histogram: exact buckets below [`LINEAR`],
+/// A concurrent log-linear histogram: exact buckets below `LINEAR`,
 /// then each power-of-two octave split into 4 linear sub-buckets, so
 /// bucket edges are within 25% of any recorded value.
 #[derive(Debug, Clone, Default)]

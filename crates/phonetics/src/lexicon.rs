@@ -4,7 +4,7 @@
 //! deliberate homophone sets, whose members synthesize to *identical* audio
 //! and therefore exercise the paper's phonetic-encoding rationale); words
 //! outside the dictionary fall back to the rule-based
-//! [`grapheme_to_phoneme`](crate::grapheme_to_phoneme) converter.
+//! [`grapheme_to_phoneme`] converter.
 
 use std::collections::HashMap;
 

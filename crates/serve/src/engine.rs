@@ -895,12 +895,6 @@ impl DetectionEngine {
         Ok(StreamHandle { engine: self, id, reply, got: None, finished: false })
     }
 
-    /// Current ingress queue depth (the batcher's backlog). The shard
-    /// router reads this to decide when to steal.
-    pub fn queue_depth(&self) -> u64 {
-        self.stats.queue_depth.get()
-    }
-
     /// Convenience: submit and block for the verdict.
     pub fn detect_blocking(&self, wave: impl Into<Arc<Waveform>>) -> Result<Verdict, SubmitError> {
         self.submit(wave).map(PendingVerdict::wait)

@@ -24,18 +24,13 @@
 //! - **observability** — `serve.*` spans on every stage (enable with
 //!   `mvp_obs::trace::enable`) and an optional JSONL verdict audit log
 //!   ([`EngineConfig::audit`]) from which each decision can be
-//!   reconstructed offline.
-//!
+//!   reconstructed offline;
 //! - **chunked ingress** — [`DetectionEngine::submit_stream`] feeds the
 //!   same workers one chunk at a time through a [`StreamHandle`] (a
 //!   one-shot submit is the same request lifecycle with one chunk); with
 //!   an [`EngineConfig::early_exit`] rule the collector can answer
 //!   `Adversarial` before end-of-stream, and with it off the chunked
-//!   verdict is byte-identical to the one-shot one;
-//! - a **shard router** — [`ShardRouter`] runs N engines behind a
-//!   content-hash router (cache affinity per shard) with work-stealing
-//!   when a shard's queue backs up, per-shard metrics, and steal
-//!   counters.
+//!   verdict is byte-identical to the one-shot one.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -53,7 +48,6 @@
 pub mod cache;
 pub mod degrade;
 pub mod engine;
-pub mod router;
 pub mod stats;
 
 pub use cache::{waveform_key, LruCache, TranscriptVec};
@@ -62,5 +56,4 @@ pub use engine::{
     DetectionEngine, EngineConfig, ModalityReport, PendingVerdict, StreamHandle, SubmitError,
     Verdict, VerdictKind,
 };
-pub use router::{RouterConfig, ShardRouter};
-pub use stats::{LatencyHistogram, ServeStats, StatsSnapshot};
+pub use stats::{ServeStats, StatsSnapshot};

@@ -11,14 +11,9 @@ use std::sync::Arc;
 use mvp_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use mvp_obs::JsonObj;
 
-/// The serve latency histogram. Retained name from the pre-registry
-/// implementation; the type now lives in `mvp_obs`.
-pub use mvp_obs::metrics::Histogram as LatencyHistogram;
-
 /// Declares the engine's monotone counters once. Each becomes a
-/// registry-backed [`ServeStats`] handle, a [`StatsSnapshot`] field, a
-/// summand of [`StatsSnapshot::merged`] and a key of
-/// [`StatsSnapshot::to_json`].
+/// registry-backed [`ServeStats`] handle, a [`StatsSnapshot`] field and
+/// a key of [`StatsSnapshot::to_json`].
 macro_rules! counters {
     ($($(#[$doc:meta])* $field:ident: $metric:literal, $help:literal;)*) => {
         /// Cumulative engine counters, registry-backed. All handles are
@@ -70,7 +65,6 @@ macro_rules! counters {
                     latency_p95_micros: quantile(0.95),
                     latency_p99_micros: quantile(0.99),
                     latency_max_micros: self.latency.max_micros(),
-                    latency_buckets: buckets,
                 }
             }
         }
@@ -93,18 +87,9 @@ macro_rules! counters {
             pub latency_p99_micros: u64,
             /// Maximum observed latency (µs).
             pub latency_max_micros: u64,
-            /// Raw latency-histogram bucket counts (see
-            /// [`Histogram::buckets`]), so [`merged`](Self::merged) can
-            /// add shards exactly.
-            pub latency_buckets: Vec<u64>,
         }
 
         impl StatsSnapshot {
-            /// Adds every counter of `other` into `self`.
-            fn add_counters(&mut self, other: &StatsSnapshot) {
-                $(self.$field += other.$field;)*
-            }
-
             /// `obj` with every counter appended under its field name.
             fn counters_json(&self, obj: JsonObj) -> JsonObj {
                 obj$(.u64(stringify!($field), self.$field))*
@@ -184,44 +169,9 @@ impl StatsSnapshot {
         }
     }
 
-    /// Merges per-shard snapshots into one aggregate view. Counters and
-    /// gauges sum; `mean_batch_size` and `latency_mean_micros` are
-    /// weighted means (by batches and completed requests respectively);
-    /// the latency histograms add bucket by bucket — their edges are
-    /// fixed, so the merged quantiles are exactly those of one histogram
-    /// fed every shard's samples — and max takes the worst shard.
-    pub fn merged(shards: &[StatsSnapshot]) -> StatsSnapshot {
-        let mut out = StatsSnapshot::default();
-        let mut batch_requests = 0.0f64;
-        let mut latency_sum = 0.0f64;
-        for s in shards {
-            out.add_counters(s);
-            out.queue_depth += s.queue_depth;
-            batch_requests += s.mean_batch_size * s.batches as f64;
-            latency_sum += s.latency_mean_micros * s.completed as f64;
-            out.latency_max_micros = out.latency_max_micros.max(s.latency_max_micros);
-            if out.latency_buckets.len() < s.latency_buckets.len() {
-                out.latency_buckets.resize(s.latency_buckets.len(), 0);
-            }
-            for (sum, count) in out.latency_buckets.iter_mut().zip(&s.latency_buckets) {
-                *sum += count;
-            }
-        }
-        if out.batches > 0 {
-            out.mean_batch_size = batch_requests / out.batches as f64;
-        }
-        if out.completed > 0 {
-            out.latency_mean_micros = latency_sum / out.completed as f64;
-        }
-        let quantile = |q| Histogram::bucket_quantile(&out.latency_buckets, q);
-        (out.latency_p50_micros, out.latency_p95_micros, out.latency_p99_micros) =
-            (quantile(0.50), quantile(0.95), quantile(0.99));
-        out
-    }
-
     /// Renders the snapshot as a flat JSON object: every counter under
     /// its field name, plus the hit rate, queue depth, mean batch size
-    /// and latency summary (raw buckets are left out).
+    /// and latency summary.
     pub fn to_json(&self) -> String {
         self.counters_json(JsonObj::new())
             .raw("cache_hit_rate", &format!("{:.4}", self.cache_hit_rate()))
@@ -243,7 +193,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         for ms in [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 100] {
             h.record(Duration::from_millis(ms));
         }
@@ -258,14 +208,14 @@ mod tests {
 
     #[test]
     fn histogram_empty_is_zero() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         assert_eq!(h.quantile_micros(0.5), 0);
         assert_eq!(h.mean_micros(), 0.0);
     }
 
     #[test]
     fn quantiles_monotone_in_q() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         for i in 0..1000u64 {
             h.record(Duration::from_micros(i * 37 % 5000));
         }
@@ -306,66 +256,6 @@ mod tests {
         assert!(text.contains(&format!("serve_queue_depth {}", snap.queue_depth)));
         assert!(text.contains("serve_latency_micros_count 1"));
         assert!(text.contains("serve_latency_micros_sum 900"));
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn merged_quantiles_equal_one_histogram_over_the_union(
-            shards in proptest::collection::vec(
-                proptest::collection::vec(0u64..50_000_000, 0..40),
-                1..5,
-            )
-        ) {
-            let union = ServeStats::new();
-            let snapshots: Vec<StatsSnapshot> = shards
-                .iter()
-                .map(|samples| {
-                    let shard = ServeStats::new();
-                    for &us in samples {
-                        shard.latency.record_value(us);
-                        union.latency.record_value(us);
-                    }
-                    shard.snapshot()
-                })
-                .collect();
-            let (merged, whole) = (StatsSnapshot::merged(&snapshots), union.snapshot());
-            proptest::prop_assert_eq!(&merged.latency_buckets, &whole.latency_buckets);
-            proptest::prop_assert_eq!(merged.latency_p50_micros, whole.latency_p50_micros);
-            proptest::prop_assert_eq!(merged.latency_p95_micros, whole.latency_p95_micros);
-            proptest::prop_assert_eq!(merged.latency_p99_micros, whole.latency_p99_micros);
-            proptest::prop_assert_eq!(merged.latency_max_micros, whole.latency_max_micros);
-        }
-    }
-
-    #[test]
-    fn merged_sums_counters_and_merges_tails() {
-        let a = ServeStats::new();
-        a.submitted.add(4);
-        a.completed.add(4);
-        a.cache_lookups.add(4);
-        a.cache_hits.add(2);
-        a.streams_opened.add(1);
-        a.latency.record(Duration::from_micros(100));
-        let b = ServeStats::new();
-        b.submitted.add(6);
-        b.completed.add(2);
-        b.cache_lookups.add(2);
-        b.stream_early_exits.inc();
-        b.latency.record(Duration::from_micros(900));
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        let m = StatsSnapshot::merged(&[sa.clone(), sb.clone()]);
-        assert_eq!(m.submitted, 10);
-        assert_eq!(m.completed, 6);
-        assert_eq!(m.cache_lookups, 6);
-        assert_eq!(m.cache_hits, 2);
-        assert_eq!(m.streams_opened, 1);
-        assert_eq!(m.stream_early_exits, 1);
-        assert_eq!(m.latency_max_micros, sa.latency_max_micros.max(sb.latency_max_micros));
-        assert!(m.latency_p99_micros >= sa.latency_p99_micros.max(sb.latency_p99_micros));
-        // Weighted mean lands between the two shard means.
-        assert!(m.latency_mean_micros > sa.latency_mean_micros);
-        assert!(m.latency_mean_micros < sb.latency_mean_micros);
-        assert_eq!(StatsSnapshot::merged(&[]), StatsSnapshot::default());
     }
 
     #[test]

@@ -18,26 +18,9 @@ def add(artifact, metric, value):
     rows.append((artifact, metric, value))
 
 
-def summarize_serve(doc):
-    by_name = {level.get("name", "?"): level for level in doc}
-    for level in doc:
-        rates = level.get("shard_cache_hit_rates", [])
-        hits = "/".join(f"{r:.0%}" for r in rates)
-        add("serve", level.get("name", "?"),
-            f"{level.get('throughput_rps', 0):.1f} rps"
-            f" answered={level.get('answered', '?')}/{level.get('offered', '?')}"
-            f" steals={sum(level.get('steal_counts', []))} hit={hits}")
-    x1 = by_name.get("sharded-x1", {}).get("throughput_rps")
-    x4 = by_name.get("sharded-x4", {}).get("throughput_rps")
-    if x1 and x4:
-        add("serve", "4-shard speedup", f"{x4 / x1:.2f}x over 1 shard")
-
-
 def summarize(path, doc):
     name = os.path.basename(path)
-    if name == "BENCH_serve.json" and isinstance(doc, list):
-        summarize_serve(doc)
-    elif name == "BENCH_artifact.json" and "profiles" in doc:
+    if name == "BENCH_artifact.json" and "profiles" in doc:
         speedups = [p.get("speedup", 0) for p in doc["profiles"]]
         add("artifact", f"{len(speedups)} profiles",
             f"warm-load speedup {min(speedups):.0f}x..{max(speedups):.0f}x")

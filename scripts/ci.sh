@@ -27,6 +27,10 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # also records its own wall time as a bench artifact.
 cargo run --release -q -p mvp-lint --bin lint -- --fail-on=deny --bench-out BENCH_lint.json
 
+# API docs: every intra-doc link must resolve and no doc may warn, so a
+# deleted or renamed item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Lint self-test: seed an *interprocedural* violation into a linted path
 # — a serve entry point whose panic sits one call away, so only the
 # call-graph rule can see it — and prove the gate actually fails on it,
@@ -46,9 +50,9 @@ lint_smoke
 # Bench gate: run the gated experiments at tiny scale (artifacts go to a
 # temp dir, never over the committed BENCH_*.json) and check each
 # measured figure against its bound in mvp_bench::gate::GATES: fused vs
-# similarity-only AUC, 4-shard scaling, disabled-tracing overhead,
-# vectorized vs scalar kernels, int8 acoustic-model speed and agreement
-# (exit status is the gate).
+# similarity-only AUC, disabled-tracing overhead, vectorized vs scalar
+# kernels, int8 acoustic-model speed and agreement (exit status is the
+# gate).
 cargo run --release -q -p mvp-bench --bin run_all -- --gate
 
 # Collate whatever BENCH_*.json artifacts exist into one trajectory

@@ -196,6 +196,7 @@ fn shed_requests_are_audited() {
     assert_eq!(shed_records, shed, "every shed request leaves a record");
     assert_eq!(verdict_records, accepted_count, "every accepted request leaves a record");
     assert_eq!(stats.shed, shed, "stats and audit must agree on shedding");
+    assert_eq!(stats.queue_depth, 0, "shed and answered requests both leave the gauge");
 }
 
 #[test]

@@ -105,6 +105,7 @@ fn engine_verdicts_match_one_shot_detection() {
     assert_eq!(stats.deadline_failures, 0);
     assert_eq!(stats.degraded, 0);
     assert!(stats.cache_hits >= 1, "replay must hit the cache");
+    assert_eq!(stats.queue_depth, 0, "every answered request has left the ingress queue");
     engine.shutdown();
 }
 

@@ -1,10 +1,8 @@
-//! Streaming-path tests for the serving engine and the shard router:
-//! chunked ingress must be byte-identical to the one-shot API when
-//! early exit is off (over arbitrary chunk boundaries, down to
-//! one-sample chunks), early exit must fire `Adversarial` before
-//! end-of-stream and never `Benign`, `wait_timeout` must hand the
-//! ticket back intact, and the router must preserve cache affinity,
-//! count steals, and answer streams.
+//! Streaming-path tests for the serving engine: chunked ingress must be
+//! byte-identical to the one-shot API when early exit is off (over
+//! arbitrary chunk boundaries, down to one-sample chunks), early exit
+//! must fire `Adversarial` before end-of-stream and never `Benign`, and
+//! `wait_timeout` must hand the ticket back intact.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -17,10 +15,7 @@ use mvp_ears_suite::audio::Waveform;
 use mvp_ears_suite::corpus::{CorpusBuilder, CorpusConfig};
 use mvp_ears_suite::ears::{DetectionSystem, EarlyExit};
 use mvp_ears_suite::ml::ClassifierKind;
-use mvp_ears_suite::serve::{
-    waveform_key, DegradePolicy, DetectionEngine, EngineConfig, RouterConfig, ShardRouter,
-    VerdictKind,
-};
+use mvp_ears_suite::serve::{DegradePolicy, DetectionEngine, EngineConfig, VerdictKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -301,98 +296,4 @@ fn wait_timeout_returns_the_ticket_then_the_verdict() {
     let verdict = pending.wait();
     assert_eq!(verdict.kind, VerdictKind::Full);
     engine.shutdown();
-}
-
-#[test]
-fn router_preserves_cache_affinity_and_parity() {
-    let system = trained_system();
-    let n_aux = system.n_auxiliaries();
-    let config = RouterConfig {
-        n_shards: 2,
-        steal_depth: 1_000_000, // never steal: pure content-hash routing
-        engine: no_deadline_config(),
-    };
-    let router =
-        ShardRouter::start(Arc::clone(&system), config, |_| DegradePolicy::untrained(n_aux));
-
-    let corpus =
-        CorpusBuilder::new(CorpusConfig { size: 3, seed: 913, ..CorpusConfig::default() }).build();
-    let waves: Vec<Arc<Waveform>> =
-        corpus.utterances().iter().map(|u| Arc::new(u.wave.clone())).collect();
-
-    // First pass: full verdicts, parity with the one-shot API.
-    for wave in &waves {
-        let expected = system.detect(wave);
-        let verdict = router.detect_blocking(Arc::clone(wave)).expect("accepted");
-        assert!(!verdict.from_cache);
-        assert_eq!(verdict.is_adversarial, Some(expected.is_adversarial));
-        let scores: Vec<f64> = verdict.scores.iter().map(|s| s.expect("full vector")).collect();
-        assert_eq!(scores, expected.scores);
-    }
-    // Second pass: the same content hashes to the same shard, whose
-    // cache already holds it.
-    for wave in &waves {
-        let verdict = router.detect_blocking(Arc::clone(wave)).expect("accepted");
-        assert!(verdict.from_cache, "replay must hit its home shard's cache");
-    }
-
-    assert_eq!(router.steal_counts(), vec![0, 0], "no steals at infinite steal depth");
-    let merged = router.stats();
-    assert_eq!(merged.cache_hits, waves.len() as u64);
-    assert_eq!(merged.completed, 2 * waves.len() as u64);
-    assert_eq!(router.shard_stats().len(), 2);
-    router.shutdown();
-}
-
-#[test]
-fn router_steals_away_from_the_home_shard_at_depth_zero() {
-    let system = trained_system();
-    let n_aux = system.n_auxiliaries();
-    let config = RouterConfig { n_shards: 2, steal_depth: 0, engine: no_deadline_config() };
-    let router =
-        ShardRouter::start(Arc::clone(&system), config, |_| DegradePolicy::untrained(n_aux));
-
-    let corpus =
-        CorpusBuilder::new(CorpusConfig { size: 4, seed: 913, ..CorpusConfig::default() }).build();
-    let waves: Vec<Arc<Waveform>> =
-        corpus.utterances().iter().map(|u| Arc::new(u.wave.clone())).collect();
-
-    // Sequential submits keep both queues empty, so ties go to shard 0:
-    // every wave homed on shard 1 must be stolen to shard 0.
-    let homed_on_one = waves.iter().filter(|w| waveform_key(w) % 2 == 1).count() as u64;
-    for wave in &waves {
-        router.detect_blocking(Arc::clone(wave)).expect("accepted");
-    }
-    let steals = router.steal_counts();
-    assert_eq!(steals[0], 0, "shard 0 work is never stolen at equal depth");
-    assert_eq!(steals[1], homed_on_one, "every shard-1 wave steals to shard 0");
-    router.shutdown();
-}
-
-#[test]
-fn router_streams_round_robin_and_complete() {
-    let system = trained_system();
-    let n_aux = system.n_auxiliaries();
-    let config = RouterConfig { n_shards: 2, steal_depth: 8, engine: no_deadline_config() };
-    let router =
-        ShardRouter::start(Arc::clone(&system), config, |_| DegradePolicy::untrained(n_aux));
-
-    let mut rng = StdRng::seed_from_u64(11);
-    for _ in 0..2 {
-        let mut handle = router.submit_stream().expect("stream accepted");
-        for _ in 0..3 {
-            let chunk: Vec<f32> = (0..1_600).map(|_| rng.gen_range(-0.3f32..0.3)).collect();
-            handle.push(&chunk).expect("chunk accepted");
-        }
-        let verdict = handle.finish().expect("stream answered");
-        assert_eq!(verdict.kind, VerdictKind::Full);
-    }
-
-    let merged = router.stats();
-    assert_eq!(merged.streams_opened, 2);
-    assert_eq!(merged.streams_completed, 2);
-    // Round-robin placement: one stream per shard.
-    let per_shard: Vec<u64> = router.shard_stats().iter().map(|s| s.streams_opened).collect();
-    assert_eq!(per_shard, vec![1, 1]);
-    router.shutdown();
 }
