@@ -166,9 +166,8 @@ fn run() -> Result<bool, String> {
                 .map(|(name, value)| format!("{name}={value:.3}"))
                 .collect();
             println!(
-                "  modality {} [{}]: {} ({} us)",
-                outcome.name,
-                modality.cost().name(),
+                "  modality {}: {} ({} us)",
+                outcome.kind,
                 features.join(" "),
                 outcome.elapsed_us
             );

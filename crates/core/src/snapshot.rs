@@ -242,10 +242,12 @@ mod tests {
         let d1 = system.detect_from_transcripts(
             "open the door".to_string(),
             vec!["open the door".to_string()],
+            None,
         );
         let d2 = restored.detect_from_transcripts(
             "open the door".to_string(),
             vec!["open the door".to_string()],
+            None,
         );
         assert_eq!(d1.is_adversarial, d2.is_adversarial);
         assert_eq!(d1.scores, d2.scores);

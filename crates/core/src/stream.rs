@@ -86,7 +86,7 @@ impl EarlyExit {
             scores,
             target_transcription: target,
             auxiliary_transcriptions: auxiliaries,
-            modality_features: Vec::new(),
+            modalities: Vec::new(),
             fused: false,
             early_exit: true,
         })
@@ -96,7 +96,7 @@ impl EarlyExit {
 /// Incremental verdict state over one audio stream.
 ///
 /// Obtain with [`DetectionSystem::stream_begin`], feed with
-/// [`push`](Self::push), settle with [`finish`](Self::finish). The state
+/// [`push_f32`](Self::push_f32), settle with [`finish`](Self::finish). The state
 /// is reusable after `finish`; buffers keep their capacity.
 #[derive(Debug, Default)]
 pub struct DetectionStream {
@@ -127,29 +127,13 @@ impl DetectionSystem {
 }
 
 impl DetectionStream {
-    /// Feeds a chunk of widened samples to every recogniser and, when an
+    /// Feeds a chunk of samples to every recogniser and, when an
     /// early-exit rule is installed, re-evaluates it. Returns the early
     /// verdict if one has fired (on this chunk or a previous one).
     ///
     /// Chunks after an early verdict still advance the recognisers, so a
     /// caller that keeps feeding can still obtain the full end-of-stream
     /// detection from [`finish`](Self::finish).
-    pub fn push(&mut self, system: &DetectionSystem, chunk: &[f64]) -> Option<&Detection> {
-        self.n_samples += chunk.len();
-        let recognizers = system.recognizers();
-        assert_eq!(recognizers.len(), self.streams.len(), "stream opened on another system");
-        for (asr, stream) in recognizers.iter().zip(&mut self.streams) {
-            asr.stream_push(stream, chunk);
-        }
-        if self.verdict.is_none() {
-            if let Some(rule) = self.early {
-                self.evaluate(system, rule);
-            }
-        }
-        self.verdict.as_ref()
-    }
-
-    /// [`push`](Self::push) for raw `f32` samples.
     pub fn push_f32(&mut self, system: &DetectionSystem, chunk: &[f32]) -> Option<&Detection> {
         self.n_samples += chunk.len();
         let recognizers = system.recognizers();
@@ -218,7 +202,7 @@ impl DetectionStream {
         self.collapsed = 0;
         self.verdict = None;
         self.n_samples = 0;
-        system.detect_from_transcripts(target, auxiliaries)
+        system.detect_from_transcripts(target, auxiliaries, None)
     }
 }
 
@@ -262,7 +246,7 @@ mod tests {
         let system = trained_system();
         let wave = speech();
         let reference = system.detect(&wave);
-        let samples = wave.to_f64();
+        let samples = wave.samples();
         let mut stream = system.stream_begin(None);
         // Random chunk boundaries (including 1-sample chunks), reusing the
         // stream across trials.
@@ -275,7 +259,7 @@ mod tests {
                 seed ^= seed << 17;
                 let len = if seed % 5 == 0 { 1 } else { 1 + (seed % 2000) as usize };
                 let end = (pos + len).min(samples.len());
-                assert!(stream.push(&system, &samples[pos..end]).is_none());
+                assert!(stream.push_f32(&system, &samples[pos..end]).is_none());
                 pos = end;
             }
             let got = stream.finish(&system);
@@ -285,12 +269,6 @@ mod tests {
             assert_eq!(got.auxiliary_transcriptions, reference.auxiliary_transcriptions);
             assert!(!got.early_exit && !got.fused);
         }
-        // f32 chunks behave identically.
-        for chunk in wave.samples().chunks(911) {
-            stream.push_f32(&system, chunk);
-        }
-        let got = stream.finish(&system);
-        assert_eq!(got.scores, reference.scores);
     }
 
     #[test]
@@ -306,13 +284,13 @@ mod tests {
         system.train_on_scores(&benign, &ae, ClassifierKind::Knn);
 
         let wave = speech();
-        let samples = wave.to_f64();
+        let samples = wave.samples();
         let rule = EarlyExit { threshold: 2.0, margin: 0.0, horizon: 3, min_frames: 10 };
         let mut stream = system.stream_begin(Some(rule));
         let chunk = 1600; // 100 ms
         let mut fired_at = None;
         for (i, c) in samples.chunks(chunk).enumerate() {
-            if stream.push(&system, c).is_some() {
+            if stream.push_f32(&system, c).is_some() {
                 fired_at = Some(i);
                 break;
             }
@@ -325,8 +303,7 @@ mod tests {
         let (_, _, scores) = stream.running(&system);
         assert_eq!(scores.len(), 1);
         // The stream still settles to the exact one-shot verdict.
-        let rest: Vec<f64> = samples[(fired_at + 1) * chunk..].to_vec();
-        stream.push(&system, &rest);
+        stream.push_f32(&system, &samples[(fired_at + 1) * chunk..]);
         let fin = stream.finish(&system);
         let reference = system.detect(&wave);
         assert_eq!(fin.scores, reference.scores);
@@ -336,7 +313,7 @@ mod tests {
         let never = EarlyExit { threshold: -1.0, margin: 0.0, horizon: 1, min_frames: 0 };
         let mut stream = system.stream_begin(Some(never));
         for c in samples.chunks(chunk) {
-            assert!(stream.push(&system, c).is_none());
+            assert!(stream.push_f32(&system, c).is_none());
         }
         assert!(!stream.early_fired());
         assert_eq!(stream.finish(&system).scores, reference.scores);
@@ -356,13 +333,14 @@ mod tests {
         let ae: Vec<Vec<f64>> = (0..8).map(|i| vec![0.5 + 0.01 * (i % 4) as f64; 1]).collect();
         system.train_on_scores(&benign, &ae, ClassifierKind::Knn);
 
-        let samples = speech().to_f64();
+        let wave = speech();
+        let samples = wave.samples();
         let min_frames = 30;
         let rule = EarlyExit { threshold: 2.0, margin: 0.0, horizon: 1, min_frames };
         let mut stream = system.stream_begin(Some(rule));
         let mut fired = false;
         for c in samples.chunks(1600) {
-            if stream.push(&system, c).is_some() {
+            if stream.push_f32(&system, c).is_some() {
                 fired = true;
                 break;
             }

@@ -29,9 +29,9 @@ pub struct Detection {
     pub target_transcription: String,
     /// The auxiliary transcriptions, in auxiliary order.
     pub auxiliary_transcriptions: Vec<String>,
-    /// Concatenated modality feature blocks, in registry order; empty
-    /// when the verdict came from similarity alone.
-    pub modality_features: Vec<f64>,
+    /// Every registered modality's feature block with its timing, in
+    /// registry order; empty when the verdict came from similarity alone.
+    pub modalities: Vec<ModalityOutcome>,
     /// Whether the verdict came from the fused classifier.
     pub fused: bool,
     /// Whether a streaming early-exit rule fired this verdict before
@@ -177,11 +177,8 @@ impl DetectionSystem {
     /// [`FusionLayout::raw_dim`]).
     pub fn raw_feature_row(&self, wave: &Waveform) -> Vec<f64> {
         let (target, auxiliaries) = self.transcripts(wave);
-        let mut row = self.scores_from_transcripts(&target, &auxiliaries);
-        for outcome in self.score_modalities(wave, &target) {
-            row.extend_from_slice(&outcome.features);
-        }
-        row
+        let scores = self.scores_from_transcripts(&target, &auxiliaries);
+        fused_row(&scores, &self.score_modalities(wave, &target))
     }
 
     /// Trains the fused classifier from benign and adversarial audio:
@@ -250,49 +247,28 @@ impl DetectionSystem {
         (texts.pop().expect("target transcript present"), auxiliaries)
     }
 
-    /// Transcribes `wave` on every recogniser via a caller-provided
-    /// execution strategy: `run` receives the recognisers (target first)
-    /// and must return one transcription per recogniser, in order. This
-    /// lets callers supply persistent worker pools, batching, or serial
-    /// execution; [`transcripts`](Self::transcripts) is the conventional
-    /// thread-per-call wrapper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` returns the wrong number of transcriptions.
-    pub fn transcribe_all<R>(&self, wave: &Waveform, run: R) -> (String, Vec<String>)
-    where
-        R: FnOnce(&[Arc<TrainedAsr>], &Waveform) -> Vec<String>,
-    {
-        let asrs = self.recognizers();
-        let texts = run(&asrs, wave);
-        assert_eq!(texts.len(), asrs.len(), "runner must return one transcription per recogniser");
-        Self::split_transcripts(texts)
-    }
-
     /// Transcribes `wave` on the target and every auxiliary concurrently
     /// (one short-lived thread per recogniser).
     ///
     /// Returns `(target transcription, auxiliary transcriptions)`.
     pub fn transcripts(&self, wave: &Waveform) -> (String, Vec<String>) {
         let _span = mvp_obs::span!("detect.transcribe");
-        self.transcribe_all(wave, |asrs, wave| {
-            let (tx, rx) = channel::unbounded::<(usize, String)>();
-            std::thread::scope(|scope| {
-                for (i, asr) in asrs.iter().enumerate() {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        // A send only fails if the receiver is gone, which
-                        // cannot happen while this scope holds `rx`.
-                        let _ = tx.send((i, asr.transcribe(wave)));
-                    });
-                }
-            });
-            drop(tx);
-            let mut results: Vec<(usize, String)> = rx.iter().collect();
-            results.sort_by_key(|(i, _)| *i);
-            results.into_iter().map(|(_, t)| t).collect()
-        })
+        let asrs = self.recognizers();
+        let (tx, rx) = channel::unbounded::<(usize, String)>();
+        std::thread::scope(|scope| {
+            for (i, asr) in asrs.iter().enumerate() {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    // A send only fails if the receiver is gone, which
+                    // cannot happen while this scope holds `rx`.
+                    let _ = tx.send((i, asr.transcribe(wave)));
+                });
+            }
+        });
+        drop(tx);
+        let mut results: Vec<(usize, String)> = rx.iter().collect();
+        results.sort_by_key(|(i, _)| *i);
+        Self::split_transcripts(results.into_iter().map(|(_, t)| t).collect())
     }
 
     /// The similarity-score feature vector for `wave` (one score per
@@ -389,30 +365,47 @@ impl DetectionSystem {
     }
 
     /// Completes the detection pipeline from already-computed
-    /// transcriptions — the entry point for serving layers that obtained
+    /// transcriptions — the one place a verdict is decided, shared by
+    /// [`detect`](Self::detect), streams and serving layers that obtained
     /// the transcriptions through their own workers (and possibly a
-    /// cache).
+    /// cache). Given `wave` on a system with a fused classifier, every
+    /// registered modality is scored on it and the fused classifier
+    /// decides (`Detection::fused` is true); otherwise the paper's
+    /// similarity classifier decides.
     ///
     /// # Panics
     ///
-    /// Panics if the system is untrained; see [`DetectionSystem::train`].
-    pub fn detect_from_transcripts(&self, target: String, auxiliaries: Vec<String>) -> Detection {
+    /// Panics if the deciding classifier is untrained; see
+    /// [`DetectionSystem::train`] and [`DetectionSystem::train_fused`].
+    pub fn detect_from_transcripts(
+        &self,
+        target: String,
+        auxiliaries: Vec<String>,
+        wave: Option<&Waveform>,
+    ) -> Detection {
         let scores = self.scores_from_transcripts(&target, &auxiliaries);
+        let (is_adversarial, modalities, fused) = match (wave, &self.fused) {
+            (Some(wave), Some(fused)) => {
+                let modalities = self.score_modalities(wave, &target);
+                (fused.is_adversarial(&fused_row(&scores, &modalities)), modalities, true)
+            }
+            _ => (self.classify_scores(&scores), Vec::new(), false),
+        };
         Detection {
-            is_adversarial: self.classify_scores(&scores),
+            is_adversarial,
+            fused,
             scores,
             target_transcription: target,
             auxiliary_transcriptions: auxiliaries,
-            modality_features: Vec::new(),
-            fused: false,
+            modalities,
             early_exit: false,
         }
     }
 
-    /// Runs the full detection pipeline on `wave`. When a fused
-    /// classifier is installed, the registered modalities are scored
-    /// and the fused verdict is returned (`Detection::fused` is true);
-    /// otherwise the paper's similarity-only pipeline runs.
+    /// Runs the full detection pipeline on `wave`: the fused verdict when
+    /// a fused classifier is installed, otherwise the paper's
+    /// similarity-only pipeline (see
+    /// [`detect_from_transcripts`](Self::detect_from_transcripts)).
     ///
     /// # Panics
     ///
@@ -421,24 +414,18 @@ impl DetectionSystem {
     pub fn detect(&self, wave: &Waveform) -> Detection {
         let _span = mvp_obs::span!("detect");
         let (target, auxiliaries) = self.transcripts(wave);
-        let Some(fused) = &self.fused else {
-            return self.detect_from_transcripts(target, auxiliaries);
-        };
-        let scores = self.scores_from_transcripts(&target, &auxiliaries);
-        let modality_features: Vec<f64> =
-            self.score_modalities(wave, &target).into_iter().flat_map(|o| o.features).collect();
-        let mut raw = scores.clone();
-        raw.extend_from_slice(&modality_features);
-        Detection {
-            is_adversarial: fused.is_adversarial(&raw),
-            scores,
-            target_transcription: target,
-            auxiliary_transcriptions: auxiliaries,
-            modality_features,
-            fused: true,
-            early_exit: false,
-        }
+        self.detect_from_transcripts(target, auxiliaries, Some(wave))
     }
+}
+
+/// The raw fused feature row: the similarity scores followed by each
+/// modality's block, in registry order (the [`FusionLayout`] raw layout).
+fn fused_row(scores: &[f64], modalities: &[ModalityOutcome]) -> Vec<f64> {
+    let mut row = scores.to_vec();
+    for outcome in modalities {
+        row.extend_from_slice(&outcome.features);
+    }
+    row
 }
 
 /// Fits the paper-configured classifier of `kind`, keeping `Send + Sync`
@@ -673,22 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn transcribe_all_serial_matches_threaded() {
-        let s = DetectionSystem::builder(AsrProfile::Ds0)
-            .auxiliary(AsrProfile::Ds1)
-            .auxiliary(AsrProfile::Gcs)
-            .build();
-        let synth = Synthesizer::new(16_000);
-        let (wave, _) =
-            synth.synthesize(&Lexicon::builtin(), "turn on the light", &SpeakerProfile::default());
-        // A caller-provided serial runner must agree with the
-        // thread-per-call wrapper.
-        let serial =
-            s.transcribe_all(&wave, |asrs, w| asrs.iter().map(|a| a.transcribe(w)).collect());
-        assert_eq!(serial, s.transcripts(&wave));
-    }
-
-    #[test]
     fn recognizers_order_is_target_first() {
         let s = DetectionSystem::builder(AsrProfile::Ds0)
             .auxiliary(AsrProfile::Ds1)
@@ -700,14 +671,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one transcription per recogniser")]
-    fn transcribe_all_rejects_short_runner_output() {
-        let s = ds0_ds1();
-        let wave = Waveform::from_samples(vec![0.0; 160], 16_000);
-        s.transcribe_all(&wave, |_, _| vec!["only one".to_string()]);
-    }
-
-    #[test]
     fn detect_from_transcripts_matches_detect_shape() {
         let mut s = ds0_ds1();
         let benign: Vec<Vec<f64>> = (0..30).map(|i| vec![0.85 + (i % 10) as f64 * 0.01]).collect();
@@ -716,12 +679,14 @@ mod tests {
         let d = s.detect_from_transcripts(
             "open the door".to_string(),
             vec!["open the door".to_string()],
+            None,
         );
         assert!(!d.is_adversarial);
         assert_eq!(d.scores.len(), 1);
         let d2 = s.detect_from_transcripts(
             "open the door".to_string(),
             vec!["completely unrelated words here".to_string()],
+            None,
         );
         assert!(d2.is_adversarial);
     }
@@ -776,7 +741,10 @@ mod tests {
 
         let d = s.detect(&benign[0]);
         assert!(d.fused);
-        assert_eq!(d.modality_features.len(), layout.raw_dim() - layout.n_similarity());
+        let kinds: Vec<ModalityKind> = d.modalities.iter().map(|o| o.kind).collect();
+        assert_eq!(kinds, layout.blocks());
+        let features: usize = d.modalities.iter().map(|o| o.features.len()).sum();
+        assert_eq!(features, layout.raw_dim() - layout.n_similarity());
         assert!(!d.is_adversarial, "benign audio flagged by fused detector");
     }
 

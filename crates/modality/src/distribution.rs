@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use mvp_asr::am::{softmax_into, N_CLASSES};
 use mvp_dsp::Mat;
 
-use crate::{drift_similarity, CostTier, Modality, ModalityInput, ModalityKind, ModalityScore};
+use crate::{drift_similarity, Modality, ModalityInput, ModalityKind, ModalityScore};
 
 /// The output-distribution modality. Features, in order (all oriented
 /// higher = more benign-stable):
@@ -60,16 +60,8 @@ fn gaussian(rng: &mut SmallRng) -> f64 {
 }
 
 impl Modality for DistributionFeatures {
-    fn name(&self) -> &'static str {
-        ModalityKind::Distribution.name()
-    }
-
     fn kind(&self) -> ModalityKind {
         ModalityKind::Distribution
-    }
-
-    fn cost(&self) -> CostTier {
-        CostTier::Cheap
     }
 
     fn feature_dim(&self) -> usize {

@@ -13,7 +13,7 @@ use mvp_asr::AsrScratch;
 use mvp_audio::noise::mix_at_snr;
 use mvp_audio::{NoiseKind, Waveform};
 
-use crate::{drift_similarity, CostTier, Modality, ModalityInput, ModalityKind, ModalityScore};
+use crate::{drift_similarity, Modality, ModalityInput, ModalityKind, ModalityScore};
 
 /// The variant-instability modality. Features, in order (higher = more
 /// benign-stable):
@@ -56,16 +56,8 @@ impl VariantInstability {
 }
 
 impl Modality for VariantInstability {
-    fn name(&self) -> &'static str {
-        ModalityKind::Instability.name()
-    }
-
     fn kind(&self) -> ModalityKind {
         ModalityKind::Instability
-    }
-
-    fn cost(&self) -> CostTier {
-        CostTier::Heavy
     }
 
     fn feature_dim(&self) -> usize {

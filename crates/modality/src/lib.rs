@@ -45,29 +45,6 @@ use mvp_audio::Waveform;
 use mvp_phonetics::{Encoder as PhoneticEncoder, PhoneticEncoder as _};
 use mvp_textsim::Similarity;
 
-/// Relative evaluation cost of a modality, used by serving layers to
-/// order work and assign deadline budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CostTier {
-    /// One extra acoustic-model pass, no extra transcriptions.
-    Cheap,
-    /// A handful of extra transcriptions (one per transform).
-    Moderate,
-    /// Noise synthesis plus one transcription per perturbed variant.
-    Heavy,
-}
-
-impl CostTier {
-    /// Stable lowercase name for tables and audit records.
-    pub fn name(self) -> &'static str {
-        match self {
-            CostTier::Cheap => "cheap",
-            CostTier::Moderate => "moderate",
-            CostTier::Heavy => "heavy",
-        }
-    }
-}
-
 /// The modality families this crate ships, addressable by name and by a
 /// stable persistence tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,12 +158,8 @@ pub struct ModalityScore {
 /// A detection modality: reduces one audio to a fixed-width block of
 /// stability features.
 pub trait Modality: Send + Sync {
-    /// Stable lowercase name.
-    fn name(&self) -> &'static str;
     /// The kind this modality instantiates.
     fn kind(&self) -> ModalityKind;
-    /// Relative evaluation cost.
-    fn cost(&self) -> CostTier;
     /// Width of the feature block [`score`](Self::score) produces.
     fn feature_dim(&self) -> usize;
     /// Static names of the features, in block order.
@@ -201,9 +174,6 @@ pub trait Modality: Send + Sync {
 pub struct ModalityOutcome {
     /// Which modality produced the block.
     pub kind: ModalityKind,
-    /// The modality's stable name (duplicated for convenience in audit
-    /// records and tables).
-    pub name: &'static str,
     /// The feature block, higher = more benign-stable.
     pub features: Vec<f64>,
     /// Wall time spent scoring this modality.
@@ -255,7 +225,7 @@ impl ModalityRegistry {
         assert!(
             self.entries.iter().all(|m| m.kind() != modality.kind()),
             "modality {} registered twice",
-            modality.name()
+            modality.kind()
         );
         self.entries.push(modality);
     }
@@ -312,7 +282,6 @@ impl ModalityRegistry {
         debug_assert_eq!(score.features.len(), modality.feature_dim());
         ModalityOutcome {
             kind: modality.kind(),
-            name: modality.name(),
             features: score.features,
             elapsed_us: started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
         }

@@ -9,7 +9,7 @@
 use mvp_asr::AsrScratch;
 use mvp_audio::{resample, Waveform};
 
-use crate::{drift_similarity, CostTier, Modality, ModalityInput, ModalityKind, ModalityScore};
+use crate::{drift_similarity, Modality, ModalityInput, ModalityKind, ModalityScore};
 
 /// An input-purification transform over a [`Waveform`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,16 +124,8 @@ impl TransformCompare {
 }
 
 impl Modality for TransformCompare {
-    fn name(&self) -> &'static str {
-        ModalityKind::Transform.name()
-    }
-
     fn kind(&self) -> ModalityKind {
         ModalityKind::Transform
-    }
-
-    fn cost(&self) -> CostTier {
-        CostTier::Moderate
     }
 
     fn feature_dim(&self) -> usize {

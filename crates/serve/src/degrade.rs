@@ -24,11 +24,6 @@ pub enum FallbackTier {
     SubsetClassifier,
     /// Benign-threshold test on the mean of the available scores.
     MeanThreshold,
-    /// A fused-capable engine fell back to the plain similarity
-    /// classifier because a modality missed its per-request budget.
-    /// Produced by the engine, not by [`DegradePolicy::classify`] (all
-    /// auxiliaries answered; only modality evidence is missing).
-    SimilarityOnly,
     /// No trained fallback applied; the neutral default verdict.
     Default,
 }
@@ -39,7 +34,6 @@ impl FallbackTier {
         match self {
             FallbackTier::SubsetClassifier => "subset_classifier",
             FallbackTier::MeanThreshold => "mean_threshold",
-            FallbackTier::SimilarityOnly => "similarity_only",
             FallbackTier::Default => "default",
         }
     }

@@ -43,6 +43,13 @@
 //! scores. Streams are flow-controlled, not shed, and skip the cache and
 //! modality scoring: the server keeps no stream audio.
 //!
+//! Every full verdict is decided by
+//! [`DetectionSystem::detect_from_transcripts`], the rule in-process
+//! detection uses: on an engine serving a fused system with its whole
+//! modality registry, a whole-waveform request passes its audio along
+//! and the fused classifier answers, bit for bit as
+//! [`DetectionSystem::detect`] would.
+//!
 //! Every stage is instrumented: `serve.submit`, `serve.flush`,
 //! `serve.cache_hit`, `serve.transcribe_batch` and `serve.finalize`
 //! spans (inert unless `mvp_obs::trace` is enabled), registry-backed
@@ -63,7 +70,7 @@ use mvp_artifact::{ArtifactError, Persist};
 use mvp_asr::{Asr, AsrProfile, AsrScratch, AsrStream, TrainedAsr};
 use mvp_audio::Waveform;
 use mvp_ears::{Detection, DetectionSystem, DetectionSystemSnapshot, EarlyExit};
-use mvp_modality::{ModalityInput, ModalityKind};
+use mvp_modality::{ModalityKind, ModalityOutcome};
 use mvp_obs::metrics::Counter;
 use mvp_obs::{AuditLog, JsonObj, Registry};
 
@@ -103,19 +110,11 @@ pub struct EngineConfig {
     pub aux_int8: Vec<bool>,
     /// Transcription-cache capacity in waveforms; `0` disables caching.
     pub cache_cap: usize,
-    /// The modality mix scored per request, in order. Every kind must be
-    /// registered on the served system. Empty (the default) = similarity
-    /// only, the pre-modality behaviour. When the system carries a fused
-    /// classifier and this mix covers its whole registry, requests whose
-    /// modalities all score within budget get fused verdicts.
+    /// The modality mix scored per whole-waveform request. Empty (the
+    /// default) = similarity only. Otherwise it must be the served
+    /// system's whole registry, in registry order, on a system that
+    /// carries a fused classifier; such requests get fused verdicts.
     pub modalities: Vec<ModalityKind>,
-    /// Per-modality time budget, parallel to `modalities` (missing tail
-    /// entries are `None`). `None` always scores; `Some(ms)` skips the
-    /// modality when the request is already older than `ms` when its
-    /// turn comes — so `Some(0)` disables it outright. A skipped
-    /// modality on a fused-capable engine degrades the verdict to
-    /// [`FallbackTier::SimilarityOnly`].
-    pub modality_budget_ms: Vec<Option<u64>>,
     /// Model directory for [`DetectionEngine::start_or_warm`]: when set,
     /// the engine loads its detection system from
     /// `<model_dir>/detector.mvpa` instead of training, and persists the
@@ -146,26 +145,11 @@ impl Default for EngineConfig {
             aux_int8: Vec::new(),
             cache_cap: 256,
             modalities: Vec::new(),
-            modality_budget_ms: Vec::new(),
             model_dir: None,
             audit: None,
             early_exit: None,
         }
     }
-}
-
-/// One modality's evidence for one request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModalityReport {
-    /// Which modality.
-    pub kind: ModalityKind,
-    /// Whether it was scored (false = its budget was already spent).
-    pub scored: bool,
-    /// The feature block, higher = more benign-stable; empty when
-    /// skipped.
-    pub features: Vec<f64>,
-    /// Wall time spent scoring (0 when skipped).
-    pub elapsed_us: u64,
 }
 
 /// How a verdict was produced.
@@ -193,10 +177,9 @@ pub struct Verdict {
     pub scores: Vec<Option<f64>>,
     /// The target transcription, when the target answered.
     pub target_transcription: Option<String>,
-    /// One report per planned modality, in plan order; empty when the
-    /// engine runs similarity-only or the request failed/degraded
-    /// before modality scoring.
-    pub modalities: Vec<ModalityReport>,
+    /// Every modality's feature block and timing, in registry order;
+    /// empty unless the fused classifier answered.
+    pub modalities: Vec<ModalityOutcome>,
     /// Whether the fused similarity + modality classifier answered.
     pub fused: bool,
     /// Whether this verdict fired before end-of-stream under the
@@ -212,14 +195,14 @@ impl Verdict {
     /// the classifier's decision, the fused classifier's when
     /// `detection.fused`, or the early-exit rule's when
     /// `detection.early_exit`.
-    fn full(detection: Detection, modalities: Vec<ModalityReport>) -> Verdict {
+    fn full(detection: Detection) -> Verdict {
         Verdict {
             is_adversarial: Some(detection.is_adversarial),
             kind: VerdictKind::Full,
             from_cache: false,
             scores: detection.scores.into_iter().map(Some).collect(),
             target_transcription: Some(detection.target_transcription),
-            modalities,
+            modalities: detection.modalities,
             fused: detection.fused,
             early_exit: detection.early_exit,
             latency: Duration::ZERO,
@@ -227,13 +210,12 @@ impl Verdict {
     }
 
     /// A [`VerdictKind::Degraded`] verdict: `tier` answered because an
-    /// auxiliary or a modality was missing.
+    /// auxiliary was missing.
     fn degraded(
         tier: FallbackTier,
         is_adversarial: bool,
         scores: Vec<Option<f64>>,
         target: String,
-        modalities: Vec<ModalityReport>,
     ) -> Verdict {
         Verdict {
             is_adversarial: Some(is_adversarial),
@@ -241,7 +223,7 @@ impl Verdict {
             from_cache: false,
             scores,
             target_transcription: Some(target),
-            modalities,
+            modalities: Vec::new(),
             fused: false,
             early_exit: false,
             latency: Duration::ZERO,
@@ -431,7 +413,7 @@ struct Request {
     /// Emptied once answered.
     waiters: Vec<Waiter>,
     /// Whole-waveform requests keep their cache key and audio (for
-    /// modality scoring); the server keeps no stream audio.
+    /// fused detection); the server keeps no stream audio.
     audio: Option<(u64, Arc<Waveform>)>,
     /// The micro-batch that transcribed it, for audit records.
     batch: Option<u64>,
@@ -546,13 +528,9 @@ impl SharedCache {
 struct Shared {
     system: Arc<DetectionSystem>,
     policy: DegradePolicy,
-    /// The modality mix scored per whole-waveform request, in order.
-    modalities: Vec<ModalityKind>,
-    /// Per-modality budgets, parallel to `modalities`.
-    modality_budgets_ms: Vec<Option<u64>>,
-    /// The system carries a fused classifier and `modalities` covers its
-    /// whole registry, so fully-scored requests get fused verdicts.
-    fused_capable: bool,
+    /// Whole-waveform requests pass their audio to the fused classifier
+    /// ([`EngineConfig::modalities`] names the whole registry).
+    fused: bool,
     /// The early-exit rule, when armed.
     early_exit: Option<EarlyExit>,
     /// Per recogniser (target first): how long after a request finishes
@@ -605,12 +583,11 @@ fn verdict_record(
     let transcribe = json_array(
         transcribe_us.iter().map(|t| t.map_or_else(|| "null".into(), |us| us.to_string())),
     );
-    let modalities = json_array(verdict.modalities.iter().map(|report| {
+    let modalities = json_array(verdict.modalities.iter().map(|outcome| {
         JsonObj::new()
-            .str("name", report.kind.name())
-            .bool("scored", report.scored)
-            .raw("features", &json_array(report.features.iter().map(|f| format!("{f}"))))
-            .u64("us", report.elapsed_us)
+            .str("name", outcome.kind.name())
+            .raw("features", &json_array(outcome.features.iter().map(|f| format!("{f}"))))
+            .u64("us", outcome.elapsed_us)
             .finish()
     }));
     let timing = JsonObj::new()
@@ -622,8 +599,9 @@ fn verdict_record(
     let obj = JsonObj::new()
         // v2 added the "modalities" array and the "fused" flag;
         // v3 added the "early" flag (stream verdicts that fired before
-        // end-of-stream).
-        .u64("v", 3)
+        // end-of-stream); v4 dropped each modality's "scored" flag (a
+        // listed modality is always scored).
+        .u64("v", 4)
         .str("event", "verdict")
         .u64("ts_us", wall_ts_us())
         .u64("request", id);
@@ -670,7 +648,9 @@ impl DetectionEngine {
     /// # Panics
     ///
     /// Panics if the system is untrained, `queue_cap`/`max_batch` is
-    /// zero, or `aux_deadline_ms` is longer than the auxiliary list.
+    /// zero, `aux_deadline_ms` is longer than the auxiliary list, or
+    /// `modalities` is neither empty nor the whole registry of a fused
+    /// system.
     pub fn start(
         system: Arc<DetectionSystem>,
         policy: DegradePolicy,
@@ -679,24 +659,25 @@ impl DetectionEngine {
         assert!(system.is_trained(), "serve a trained DetectionSystem");
         assert!(config.queue_cap > 0, "queue_cap must be positive");
         assert!(config.max_batch > 0, "max_batch must be positive");
-        let (n_aux, n_modalities) = (system.n_auxiliaries(), config.modalities.len());
-        for (knob, len, max, of) in [
-            ("aux_deadline_ms", config.aux_deadline_ms.len(), n_aux, "auxiliaries"),
-            ("aux_int8", config.aux_int8.len(), n_aux, "auxiliaries"),
-            ("modality_budget_ms", config.modality_budget_ms.len(), n_modalities, "modalities"),
-        ] {
-            assert!(len <= max, "{knob} has {len} entries for {max} {of}");
+        let n_aux = system.n_auxiliaries();
+        for (knob, len) in
+            [("aux_deadline_ms", config.aux_deadline_ms.len()), ("aux_int8", config.aux_int8.len())]
+        {
+            assert!(len <= n_aux, "{knob} has {len} entries for {n_aux} auxiliaries");
         }
         assert_eq!(policy.n_aux(), n_aux, "degrade policy dimension mismatch");
         let registered = system.modalities().kinds();
-        for (i, kind) in config.modalities.iter().enumerate() {
+        for kind in &config.modalities {
             assert!(
                 registered.contains(kind),
                 "modality {kind} is not registered on the served system"
             );
-            let twice = config.modalities[..i].contains(kind);
-            assert!(!twice, "modality {kind} listed twice in the engine config");
         }
+        let fused = !config.modalities.is_empty();
+        assert!(
+            !fused || (config.modalities == registered && system.is_fused()),
+            "engine modalities must be empty or the whole registry of a fused system"
+        );
 
         let stats = Arc::new(ServeStats::new());
         // Entry 0 is the target recogniser; per-auxiliary overrides
@@ -710,11 +691,9 @@ impl DetectionEngine {
             .collect();
         let early_exit = config.early_exit.filter(|_| waits.iter().all(Option::is_some));
         let shared = Arc::new(Shared {
-            fused_capable: system.is_fused() && config.modalities == registered,
             system: Arc::clone(&system),
             policy,
-            modalities: config.modalities.clone(),
-            modality_budgets_ms: config.modality_budget_ms.clone(),
+            fused,
             early_exit,
             waits,
             cache: (config.cache_cap > 0)
@@ -1254,46 +1233,11 @@ fn collector_loop(shared: Arc<Shared>, rx: Receiver<CollectorMsg>) {
     }
 }
 
-/// Scores the planned modalities for one request, skipping any whose
-/// budget is already spent relative to `submitted`.
-fn score_modalities(
-    shared: &Shared,
-    wave: &Waveform,
-    target_text: &str,
-    submitted: Instant,
-) -> Vec<ModalityReport> {
-    let input = ModalityInput::new(shared.system.target(), wave, target_text);
-    let registry = shared.system.modalities();
-    let spent = |budget_ms: u64| micros(submitted.elapsed()) / 1_000 >= budget_ms;
-    shared
-        .modalities
-        .iter()
-        .enumerate()
-        .map(|(i, &kind)| {
-            let budget = shared.modality_budgets_ms.get(i).copied().flatten();
-            // Engine start rejects unregistered kinds, so an empty score
-            // only ever means a spent budget.
-            let outcome = (!budget.is_some_and(spent))
-                .then(|| registry.score_where(&input, |k| k == kind).pop())
-                .flatten();
-            let Some(outcome) = outcome else {
-                shared.stats.modality_budget_missed.inc();
-                return ModalityReport { kind, scored: false, features: Vec::new(), elapsed_us: 0 };
-            };
-            shared.stats.modality_scored.inc();
-            let (features, elapsed_us) = (outcome.features, outcome.elapsed_us);
-            ModalityReport { kind, scored: true, features, elapsed_us }
-        })
-        .collect()
-}
-
 /// Decides a request from its final transcripts: `Failed` without the
 /// target; `Degraded` by the policy when an auxiliary is missing;
-/// otherwise the full detection, resolved through the modality plan for
-/// whole-waveform requests (fused when every modality scored on a
-/// fused-capable engine, `SimilarityOnly` when one missed its budget).
-/// Also returns the threshold of a `MeanThreshold` verdict, which makes
-/// it reconstructible from the audit record alone.
+/// otherwise the full detection, fused for whole-waveform requests on a
+/// fused engine. Also returns the threshold of a `MeanThreshold` verdict,
+/// which makes it reconstructible from the audit record alone.
 fn decide(shared: &Shared, request: &mut Request) -> (Verdict, Option<f64>) {
     let system = &shared.system;
     let mut texts = std::mem::take(&mut request.texts).into_iter();
@@ -1311,43 +1255,19 @@ fn decide(shared: &Shared, request: &mut Request) -> (Verdict, Option<f64>) {
         let scores = (0..n_aux).map(|j| pairs.iter().find(|p| p.0 == j).map(|p| p.1)).collect();
         let threshold =
             shared.policy.mean_threshold().filter(|_| tier == FallbackTier::MeanThreshold);
-        // An auxiliary is already missing; modality scoring would only
-        // add latency to an answer the fused classifier cannot use.
-        return (Verdict::degraded(tier, is_adversarial, scores, target, Vec::new()), threshold);
+        return (Verdict::degraded(tier, is_adversarial, scores, target), threshold);
     }
-    let mut detection = system.detect_from_transcripts(target, aux.into_iter().flatten().collect());
-    let Some((key, wave)) = &request.audio else {
-        return (Verdict::full(detection, Vec::new()), None);
-    };
-    if let (Some(cache), false) = (&shared.cache, request.from_cache) {
-        let (target, aux) = (&detection.target_transcription, &detection.auxiliary_transcriptions);
-        let vector: Vec<String> = std::iter::once(target).chain(aux).cloned().collect();
+    let aux: Vec<String> = aux.into_iter().flatten().collect();
+    if let (Some((key, _)), Some(cache), false) =
+        (&request.audio, &shared.cache, request.from_cache)
+    {
+        let vector: Vec<String> = std::iter::once(&target).chain(&aux).cloned().collect();
         cache.with(|c| c.insert(*key, Arc::new(vector)));
     }
-    if shared.modalities.is_empty() {
-        return (Verdict::full(detection, Vec::new()), None);
-    }
-    // Modality budgets run against the oldest waiter: the request that
-    // has waited longest decides how much patience is left.
-    let submitted = request.waiters.iter().map(|w| w.submitted).min().unwrap_or_else(Instant::now);
-    let reports = score_modalities(shared, wave, &detection.target_transcription, submitted);
-    if !shared.fused_capable {
-        return (Verdict::full(detection, reports), None);
-    }
-    match system.fused_classifier().filter(|_| reports.iter().all(|r| r.scored)) {
-        Some(fused) => {
-            let mut raw = detection.scores.clone();
-            raw.extend(reports.iter().flat_map(|r| r.features.iter().copied()));
-            detection.is_adversarial = fused.is_adversarial(&raw);
-            detection.fused = true;
-            (Verdict::full(detection, reports), None)
-        }
-        None => {
-            let Detection { is_adversarial, scores, target_transcription: target, .. } = detection;
-            let (tier, scores) = (FallbackTier::SimilarityOnly, scores.into_iter().map(Some));
-            (Verdict::degraded(tier, is_adversarial, scores.collect(), target, reports), None)
-        }
-    }
+    let wave = request.audio.as_ref().filter(|_| shared.fused).map(|(_, wave)| wave.as_ref());
+    let detection = system.detect_from_transcripts(target, aux, wave);
+    shared.stats.modality_scored.add(detection.modalities.len() as u64);
+    (Verdict::full(detection), None)
 }
 
 /// Answers everyone waiting on `request` — the one place a verdict is
@@ -1371,7 +1291,7 @@ fn finalize(shared: &Shared, request: &mut Request, early: Option<Detection>) {
     let (mut verdict, threshold) = match early {
         Some(detection) => {
             stats.stream_early_exits.inc();
-            (Verdict::full(detection, Vec::new()), None)
+            (Verdict::full(detection), None)
         }
         None => decide(shared, request),
     };
@@ -1477,17 +1397,15 @@ mod tests {
             scores: vec![Some(0.12), None],
             target_transcription: Some("open the door".into()),
             modalities: vec![
-                ModalityReport {
+                ModalityOutcome {
                     kind: ModalityKind::Transform,
-                    scored: true,
                     features: vec![0.91, 0.05],
                     elapsed_us: 420,
                 },
-                ModalityReport {
+                ModalityOutcome {
                     kind: ModalityKind::Distribution,
-                    scored: false,
-                    features: Vec::new(),
-                    elapsed_us: 0,
+                    features: vec![0.7, 0.2, 0.1, 0.3],
+                    elapsed_us: 90,
                 },
             ],
             fused: false,
@@ -1506,7 +1424,7 @@ mod tests {
         );
         let v = mvp_obs::json::parse(&line).unwrap();
         assert_eq!(v.get("event").unwrap().as_str(), Some("verdict"));
-        assert_eq!(v.get("v").unwrap().as_f64(), Some(3.0));
+        assert_eq!(v.get("v").unwrap().as_f64(), Some(4.0));
         assert_eq!(v.get("request").unwrap().as_f64(), Some(7.0));
         assert_eq!(v.get("kind").unwrap().as_str(), Some("degraded"));
         assert_eq!(v.get("tier").unwrap().as_str(), Some("mean_threshold"));
@@ -1517,10 +1435,10 @@ mod tests {
         let modalities = v.get("modalities").unwrap().as_arr().unwrap();
         assert_eq!(modalities.len(), 2);
         assert_eq!(modalities[0].get("name").unwrap().as_str(), Some("transform"));
-        assert_eq!(modalities[0].get("scored").unwrap().as_bool(), Some(true));
+        assert!(modalities[0].get("scored").is_none());
         assert_eq!(modalities[0].get("features").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(modalities[0].get("us").unwrap().as_f64(), Some(420.0));
-        assert_eq!(modalities[1].get("scored").unwrap().as_bool(), Some(false));
+        assert_eq!(modalities[1].get("features").unwrap().as_arr().unwrap().len(), 4);
         let aux = v.get("aux").unwrap().as_arr().unwrap();
         assert_eq!(aux.len(), 2);
         assert_eq!(aux[0].get("score").unwrap().as_f64(), Some(0.12));

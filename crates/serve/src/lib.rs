@@ -30,7 +30,12 @@
 //!   one-shot submit is the same request lifecycle with one chunk); with
 //!   an [`EngineConfig::early_exit`] rule the collector can answer
 //!   `Adversarial` before end-of-stream, and with it off the chunked
-//!   verdict is byte-identical to the one-shot one.
+//!   verdict is byte-identical to the one-shot one;
+//! - **one decision rule** — every full verdict comes from
+//!   [`DetectionSystem::detect_from_transcripts`](mvp_ears::DetectionSystem::detect_from_transcripts),
+//!   fused for whole-waveform requests when [`EngineConfig::modalities`]
+//!   names a fused system's whole registry, so served verdicts equal
+//!   in-process ones bit for bit.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -53,7 +58,6 @@ pub mod stats;
 pub use cache::{waveform_key, LruCache, TranscriptVec};
 pub use degrade::{DegradePolicy, FallbackTier};
 pub use engine::{
-    DetectionEngine, EngineConfig, ModalityReport, PendingVerdict, StreamHandle, SubmitError,
-    Verdict, VerdictKind,
+    DetectionEngine, EngineConfig, PendingVerdict, StreamHandle, SubmitError, Verdict, VerdictKind,
 };
 pub use stats::{ServeStats, StatsSnapshot};

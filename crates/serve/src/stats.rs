@@ -105,8 +105,7 @@ counters! {
     shed: "serve_shed_total", "requests rejected by backpressure";
     /// Requests answered (with any verdict).
     completed: "serve_completed_total", "requests answered";
-    /// Requests answered in degraded mode (≥ 1 auxiliary or modality
-    /// dropped).
+    /// Requests answered in degraded mode (≥ 1 auxiliary dropped).
     degraded: "serve_degraded_total", "requests answered degraded";
     /// Requests that failed outright (target ASR missed the deadline).
     deadline_failures: "serve_deadline_failures_total", "requests failed on target deadline";
@@ -122,10 +121,6 @@ counters! {
     batches: "serve_batches_total", "micro-batches dispatched";
     /// Modality evaluations completed (one per modality per request).
     modality_scored: "serve_modality_scored_total", "modality evaluations completed";
-    /// Modality evaluations skipped because the per-request budget was
-    /// already spent (or the modality was disabled with a zero budget).
-    modality_budget_missed: "serve_modality_budget_missed_total",
-        "modality evaluations skipped on a spent per-request budget";
     /// Requests answered by the fused similarity + modality classifier.
     fused_verdicts: "serve_fused_verdicts_total", "requests answered by the fused classifier";
     /// Chunked-ingress streams opened.
@@ -275,7 +270,6 @@ mod tests {
             "serve_batches_total",
             "serve_batched_requests_total",
             "serve_modality_scored_total",
-            "serve_modality_budget_missed_total",
             "serve_fused_verdicts_total",
             "serve_streams_opened_total",
             "serve_stream_chunks_total",

@@ -1,6 +1,6 @@
-//! End-to-end engine tests for the per-request modality plan: fused
-//! verdicts when every modality scores, `SimilarityOnly` degradation on
-//! budget misses, and evidence-only reports on partial mixes.
+//! End-to-end engine tests for fused serving: fused verdicts equal to
+//! in-process detection when the engine names the whole registry,
+//! similarity-only verdicts without it, and config validation.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use mvp_ears::DetectionSystem;
 use mvp_ml::{ClassifierKind, Mat};
 use mvp_modality::ModalityKind;
 use mvp_phonetics::Lexicon;
-use mvp_serve::{DegradePolicy, DetectionEngine, EngineConfig, FallbackTier, VerdictKind};
+use mvp_serve::{DegradePolicy, DetectionEngine, EngineConfig, Verdict, VerdictKind};
 
 /// A system with every modality registered, a trained similarity
 /// classifier, and a fused classifier fitted on well-separated
@@ -37,6 +37,26 @@ fn speech() -> mvp_audio::Waveform {
     wave
 }
 
+/// Bit patterns of a float sequence, so equality means bit-identical.
+fn bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> Vec<u64> {
+    values.into_iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts a served verdict is the in-process detection bit for bit:
+/// the decision, the fused flag, every score and every modality feature.
+fn assert_matches_detect(verdict: &Verdict, system: &DetectionSystem, wave: &mvp_audio::Waveform) {
+    let expected = system.detect(wave);
+    assert_eq!(verdict.is_adversarial, Some(expected.is_adversarial));
+    assert_eq!(verdict.fused, expected.fused);
+    let scores: Vec<f64> = verdict.scores.iter().map(|s| s.expect("every auxiliary")).collect();
+    assert_eq!(bits(&scores), bits(&expected.scores));
+    assert_eq!(verdict.modalities.len(), expected.modalities.len());
+    for (served, local) in verdict.modalities.iter().zip(&expected.modalities) {
+        assert_eq!(served.kind, local.kind);
+        assert_eq!(bits(&served.features), bits(&local.features), "{}", local.kind);
+    }
+}
+
 #[test]
 fn full_modality_mix_produces_fused_verdicts() {
     let system = fused_system(&ModalityKind::ALL);
@@ -50,79 +70,26 @@ fn full_modality_mix_produces_fused_verdicts() {
 
     let verdict = engine.submit(speech()).unwrap().wait();
     assert_eq!(verdict.kind, VerdictKind::Full);
-    assert!(verdict.fused, "all modalities scored on a fused-capable engine");
+    assert!(verdict.fused, "every modality scored on a fused engine");
     assert!(verdict.is_adversarial.is_some());
     assert_eq!(verdict.modalities.len(), ModalityKind::ALL.len());
-    for (report, kind) in verdict.modalities.iter().zip(ModalityKind::ALL) {
-        assert_eq!(report.kind, kind);
-        assert!(report.scored);
-        assert_eq!(report.features.len(), kind.feature_dim());
-        assert!(report.features.iter().all(|f| f.is_finite()));
+    for (outcome, kind) in verdict.modalities.iter().zip(ModalityKind::ALL) {
+        assert_eq!(outcome.kind, kind);
+        assert_eq!(outcome.features.len(), kind.feature_dim());
+        assert!(outcome.features.iter().all(|f| f.is_finite()));
     }
+    assert_matches_detect(&verdict, &system, &speech());
 
-    // A cache-hit replay also resolves through the modality plan.
+    // A cache-hit replay also passes its audio to the fused classifier.
     let replay = engine.submit(speech()).unwrap().wait();
     assert!(replay.from_cache);
     assert!(replay.fused);
     assert_eq!(replay.modalities.len(), ModalityKind::ALL.len());
+    assert_matches_detect(&replay, &system, &speech());
 
     let snap = engine.stats();
     assert_eq!(snap.fused_verdicts, 2);
     assert_eq!(snap.modality_scored, 2 * ModalityKind::ALL.len() as u64);
-    assert_eq!(snap.modality_budget_missed, 0);
-    engine.shutdown();
-}
-
-#[test]
-fn zero_budget_modality_degrades_to_similarity_only() {
-    let system = fused_system(&ModalityKind::ALL);
-    let policy = DegradePolicy::untrained(system.n_auxiliaries());
-    let config = EngineConfig {
-        modalities: ModalityKind::ALL.to_vec(),
-        // Instability never fits a zero budget: fused requests degrade.
-        modality_budget_ms: vec![None, None, Some(0)],
-        cache_cap: 0,
-        ..EngineConfig::default()
-    };
-    let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
-
-    let verdict = engine.submit(speech()).unwrap().wait();
-    assert_eq!(verdict.kind, VerdictKind::Degraded(FallbackTier::SimilarityOnly));
-    assert!(!verdict.fused);
-    assert_eq!(verdict.modalities.len(), 3);
-    assert!(verdict.modalities[0].scored && verdict.modalities[1].scored);
-    assert!(!verdict.modalities[2].scored);
-    assert!(verdict.modalities[2].features.is_empty());
-    // The similarity classifier still answered.
-    assert!(verdict.is_adversarial.is_some());
-
-    let snap = engine.stats();
-    assert_eq!(snap.fused_verdicts, 0);
-    assert_eq!(snap.modality_budget_missed, 1);
-    assert_eq!(snap.degraded, 1);
-    engine.shutdown();
-}
-
-#[test]
-fn partial_mix_reports_evidence_without_fusing() {
-    // The system's registry (and fused layout) covers all three kinds,
-    // but the engine only scores one: evidence rides the verdict, the
-    // fused classifier stays out of the loop.
-    let system = fused_system(&ModalityKind::ALL);
-    let policy = DegradePolicy::untrained(system.n_auxiliaries());
-    let config = EngineConfig {
-        modalities: vec![ModalityKind::Transform],
-        cache_cap: 0,
-        ..EngineConfig::default()
-    };
-    let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
-
-    let verdict = engine.submit(speech()).unwrap().wait();
-    assert_eq!(verdict.kind, VerdictKind::Full);
-    assert!(!verdict.fused, "partial mix cannot feed the fused layout");
-    assert_eq!(verdict.modalities.len(), 1);
-    assert_eq!(verdict.modalities[0].kind, ModalityKind::Transform);
-    assert!(verdict.modalities[0].scored);
     engine.shutdown();
 }
 
@@ -152,4 +119,14 @@ fn unregistered_modality_in_config_is_rejected() {
     let config =
         EngineConfig { modalities: vec![ModalityKind::Transform], ..EngineConfig::default() };
     let _ = DetectionEngine::start(Arc::new(system), policy, config);
+}
+
+#[test]
+#[should_panic(expected = "whole registry")]
+fn partial_modality_mix_is_rejected() {
+    let system = fused_system(&ModalityKind::ALL);
+    let policy = DegradePolicy::untrained(system.n_auxiliaries());
+    let config =
+        EngineConfig { modalities: vec![ModalityKind::Transform], ..EngineConfig::default() };
+    let _ = DetectionEngine::start(system, policy, config);
 }

@@ -102,10 +102,10 @@ proptest! {
     }
 }
 
-/// Hit fidelity: a cached transcription vector equals what the
-/// recognisers would produce for that exact waveform. Uses genuinely
-/// random audio (not speech) — the property must hold for arbitrary
-/// sample content.
+// Hit fidelity: a cached transcription vector equals what the
+// recognisers would produce for that exact waveform. Uses genuinely
+// random audio (not speech) — the property must hold for arbitrary
+// sample content.
 proptest! {
     #[test]
     fn hit_returns_what_the_asr_would_produce(

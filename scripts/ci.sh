@@ -12,8 +12,9 @@ cargo test -q
 # tests: kernel-vs-oracle parity (mvp-dsp), the streaming decode against
 # its from-scratch oracle and artifact round trips (mvp-asr), the serve
 # engine's stream and batch paths (mvp-serve), the lint's rule goldens
-# (mvp-lint), and the rest.
-cargo test --release -q --workspace
+# (mvp-lint), and the rest. Under the build step's flags, so a warning
+# in test code fails the gate as one in library code does.
+RUSTFLAGS="-Dwarnings" cargo test --release -q --workspace
 
 # The serving benchmark is a package of its own; its unit tests compile
 # against the mvp-serve API it drives, so an API break fails here.
