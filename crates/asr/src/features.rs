@@ -221,11 +221,6 @@ impl FrontEndStream {
         self.next_out = 0;
     }
 
-    /// Number of stacked feature rows emitted since the last reset.
-    pub fn rows_emitted(&self) -> usize {
-        self.next_out
-    }
-
     /// Feeds `chunk` (widened samples) and appends every newly completed
     /// stacked row to `out` via [`FeatureMatrix::push_row`].
     pub fn push(&mut self, fe: &FeatureFrontEnd, chunk: &[f64], out: &mut FeatureMatrix) {

@@ -395,15 +395,8 @@ impl Asr for TrainedAsr {
     }
 
     fn transcribe(&self, wave: &Waveform) -> String {
-        if wave.is_empty() {
-            return String::new();
-        }
-        let logits = {
-            let _span = mvp_obs::span!("asr.features");
-            self.logits(wave)
-        };
-        let _span = mvp_obs::span!("asr.decode");
-        self.decoder.decode(&logits)
+        let mut texts = self.transcribe_batch_with(&[wave], &mut AsrScratch::default());
+        texts.pop().unwrap_or_default()
     }
 }
 

@@ -34,15 +34,6 @@ impl Waveform {
         Waveform { samples, sample_rate }
     }
 
-    /// Builds a waveform from `f64` samples (e.g. an attack perturbation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate == 0`.
-    pub fn from_f64(samples: &[f64], sample_rate: u32) -> Waveform {
-        Waveform::from_samples(samples.iter().map(|&s| s as f32).collect(), sample_rate)
-    }
-
     /// Sample rate in Hz.
     pub fn sample_rate(&self) -> u32 {
         self.sample_rate

@@ -70,11 +70,6 @@ impl Scale {
             Ok(other) => panic!("unknown MVP_EARS_SCALE {other:?}; use tiny, quick or full"),
         }
     }
-
-    /// Total AE count.
-    pub fn total_aes(&self) -> usize {
-        self.whitebox + self.blackbox
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel;
-
 use mvp_asr::{Asr, AsrProfile, TrainedAsr};
 use mvp_audio::Waveform;
 use mvp_ml::{Classifier, ClassifierKind, Dataset, FittedClassifier, Mat};
@@ -254,21 +252,16 @@ impl DetectionSystem {
     pub fn transcripts(&self, wave: &Waveform) -> (String, Vec<String>) {
         let _span = mvp_obs::span!("detect.transcribe");
         let asrs = self.recognizers();
-        let (tx, rx) = channel::unbounded::<(usize, String)>();
-        std::thread::scope(|scope| {
-            for (i, asr) in asrs.iter().enumerate() {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    // A send only fails if the receiver is gone, which
-                    // cannot happen while this scope holds `rx`.
-                    let _ = tx.send((i, asr.transcribe(wave)));
-                });
-            }
+        let texts = std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                asrs.iter().map(|asr| scope.spawn(move || asr.transcribe(wave))).collect();
+            // Joined in recogniser order; a recogniser's panic resumes here.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        drop(tx);
-        let mut results: Vec<(usize, String)> = rx.iter().collect();
-        results.sort_by_key(|(i, _)| *i);
-        Self::split_transcripts(results.into_iter().map(|(_, t)| t).collect())
+        Self::split_transcripts(texts)
     }
 
     /// The similarity-score feature vector for `wave` (one score per

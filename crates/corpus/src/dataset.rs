@@ -66,12 +66,6 @@ impl CorpusBuilder {
         CorpusBuilder { cfg, lexicon: Lexicon::builtin() }
     }
 
-    /// Replaces the lexicon.
-    pub fn with_lexicon(mut self, lexicon: Lexicon) -> CorpusBuilder {
-        self.lexicon = lexicon;
-        self
-    }
-
     /// Generates the corpus.
     pub fn build(&self) -> SpeechCorpus {
         let synth = Synthesizer::new(self.cfg.sample_rate);

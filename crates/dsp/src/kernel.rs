@@ -1,12 +1,12 @@
 //! The kernel plane: tuned numeric primitives under the Mat data plane.
 //!
-//! Every hot loop in the workspace — spectrogram frames, MFCC
-//! extraction, the acoustic-model GEMMs, CTC trellis rows, SVM kernel
-//! evaluations — routes through this module. Each vectorized kernel
-//! keeps its original scalar implementation alive as a *correctness
-//! oracle*: `force_scalar(true)` re-routes every entry point back onto
-//! the oracle so benches can time (and parity tests can pin) vectorized
-//! against scalar on identical inputs.
+//! Every hot loop in the workspace — MFCC extraction, the acoustic-model
+//! GEMMs, CTC trellis rows, SVM kernel evaluations — routes through this
+//! module. Each vectorized kernel keeps its original scalar
+//! implementation alive as a *correctness oracle*: `force_scalar(true)`
+//! re-routes every entry point back onto the oracle so benches can time
+//! (and parity tests can pin) vectorized against scalar on identical
+//! inputs.
 //!
 //! # Parity policy, per kernel
 //!
@@ -37,7 +37,7 @@
 //! | [`RfftPlan::hfft`],            | the oracle's radix-2 loop on the     |
 //! | [`RfftPlan::inverse`]          | half-size buffer; error `O(n·ε)`     |
 //!
-//! Every MFCC and spectrogram path reaches the spectrum through
+//! Every MFCC path reaches the spectrum through
 //! [`RfftPlan::forward_frames`], so the served, in-process, streamed and
 //! gradient-caching feature paths agree bit for bit however they group
 //! their frames.
@@ -52,13 +52,15 @@
 //!
 //! # Threads
 //!
-//! [`par_rows`] (and `par_row_blocks`, its form for work on several
-//! rows at once) spreads independent row work over scoped threads. The
-//! worker count is `set_threads` (the serve engine partitions cores
-//! between its ASR workers) → the `MVP_EARS_KERNEL_THREADS` env var →
+//! Every kernel runs on its caller's thread except [`par_rows`], which
+//! spreads independent row work over scoped threads; the CTC loss and
+//! gradient are its only callers. The worker count is [`set_threads`]
+//! (benchmarks pin it) → the `MVP_EARS_KERNEL_THREADS` env var →
 //! `std::thread::available_parallelism()`. Row outputs are independent,
 //! so results are bit-identical at any thread count; on a single core
-//! the serial path runs with zero extra allocation.
+//! the serial path runs with zero extra allocation. MFCC extraction never
+//! fans out: each serving worker, attack loop or stream already owns a
+//! thread, and its frames run there.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -88,9 +90,9 @@ pub fn scalar_forced() -> bool {
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides the [`par_rows`] worker count; `0` restores the automatic
-/// choice (`MVP_EARS_KERNEL_THREADS`, else available parallelism). The
-/// serve engine calls this so each ASR worker gets an equal share of
-/// the machine instead of oversubscribing it.
+/// choice (`MVP_EARS_KERNEL_THREADS`, else available parallelism).
+/// Process-global, like [`force_scalar`]: for benchmarks that time a
+/// path at a fixed thread count, not for a library to partition cores.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -537,42 +539,21 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut [f64]) + Sync,
 {
-    par_row_blocks(data, n_cols, 1, init, f);
-}
-
-/// [`par_rows`] over blocks of up to `block_rows` consecutive rows, for
-/// work that handles several rows at once (the MFCC paths hand a block
-/// of frames to [`RfftPlan::forward_frames`]). Workers get whole blocks;
-/// only the last block of the matrix may be short.
-///
-/// `f` receives `(state, first_row_index, rows)`, `rows` holding the
-/// block's rows back to back.
-pub(crate) fn par_row_blocks<S, I, F>(
-    data: &mut [f64],
-    n_cols: usize,
-    block_rows: usize,
-    init: I,
-    f: F,
-) where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [f64]) + Sync,
-{
     if n_cols == 0 || data.is_empty() {
         return;
     }
-    let block_rows = block_rows.max(1);
     let n_rows = data.len() / n_cols;
-    let workers = threads().clamp(1, n_rows.div_ceil(block_rows));
+    let workers = threads().clamp(1, n_rows);
     let run = |state: &mut S, first: usize, chunk: &mut [f64]| {
-        for (b, block) in chunk.chunks_mut(block_rows * n_cols).enumerate() {
-            f(state, first + b * block_rows, block);
+        for (r, row) in chunk.chunks_mut(n_cols).enumerate() {
+            f(state, first + r, row);
         }
     };
     if workers <= 1 || n_rows < PAR_MIN_ROWS {
         run(&mut init(), 0, data);
         return;
     }
-    let rows_per = n_rows.div_ceil(workers).next_multiple_of(block_rows);
+    let rows_per = n_rows.div_ceil(workers);
     std::thread::scope(|scope| {
         for (ci, chunk) in data.chunks_mut(rows_per * n_cols).enumerate() {
             let (init, run) = (&init, &run);

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Signal-processing substrate: FFT, spectrograms, mel filterbanks, DCT and
+//! Signal-processing substrate: FFT, mel filterbanks, DCT and
 //! a fully differentiable MFCC pipeline.
 //!
 //! Every simulated ASR in this workspace extracts MFCC features exactly as
@@ -31,7 +31,6 @@ pub mod kernel;
 pub mod mat;
 pub mod mel;
 pub mod mfcc;
-pub mod spectrogram;
 pub mod window;
 
 pub use complex::Complex;

@@ -16,15 +16,15 @@
 //! [`StreamingMfcc`] is the incremental face of the same pipeline: it
 //! accepts arbitrary sample chunks, carries the pre-emphasis state and the
 //! overlap ring across chunk boundaries, and emits each MFCC row the moment
-//! its analysis window is complete. Every path — one-shot serial or
-//! parallel, gradient-caching, streamed — computes its frames with the same
+//! its analysis window is complete. Every path — one-shot,
+//! gradient-caching, streamed — computes its frames with the same
 //! block pipeline over [`RfftPlan::forward_frames`], whose per-frame bits do
 //! not depend on how frames are grouped, so all of them are byte-identical
 //! by construction.
 
 use crate::complex::Complex;
 use crate::frame::{frame_count, overlap_add_adjoint};
-use crate::kernel::{self, DctPlan, Frames, RfftPlan, RfftScratch};
+use crate::kernel::{DctPlan, Frames, RfftPlan, RfftScratch};
 use crate::mat::Mat;
 use crate::mel::MelFilterbank;
 use crate::window::Window;
@@ -148,9 +148,7 @@ pub struct MfccScratch {
 }
 
 /// Working buffers of one block of frames (the FFT lanes, the block's
-/// power spectra, one frame's mel and log-mel rows);
-/// [`kernel::par_row_blocks`] workers each own one so parallel frame
-/// extraction never contends.
+/// power spectra, one frame's mel and log-mel rows).
 #[derive(Debug, Clone, Default)]
 struct FrameBufs {
     power: Vec<f64>,
@@ -299,11 +297,9 @@ impl MfccExtractor {
 
     /// Shared forward pass; fills `cache` when the caller needs gradients.
     ///
-    /// Every path runs [`frames_forward`](Self::frames_forward) over the
-    /// emphasized signal. Without a cache, and with several kernel
-    /// threads, blocks of frames fan out over [`kernel::par_row_blocks`]
-    /// workers (each with its own [`FrameBufs`]); otherwise the whole run
-    /// goes through the caller's scratch, allocation-free once warm.
+    /// Runs [`frames_forward`](Self::frames_forward) over the emphasized
+    /// signal on the calling thread, through the caller's scratch, so it
+    /// is allocation-free once warm.
     fn forward<S: Copy + Into<f64>>(
         &self,
         samples: &[S],
@@ -322,29 +318,15 @@ impl MfccExtractor {
             len: cfg.frame_len,
             count: n_frames,
         };
-        if let Some(c) = cache {
-            let n_bins = cfg.n_fft / 2 + 1;
+        let cache = cache.map(|c| {
             c.n_fft = cfg.n_fft;
             c.n_samples = samples.len();
             c.spectra.clear();
-            c.spectra.resize(n_frames * n_bins, Complex::ZERO);
+            c.spectra.resize(n_frames * (cfg.n_fft / 2 + 1), Complex::ZERO);
             c.mels.reset(n_frames, cfg.n_mels);
-            let cache = Some((&mut c.spectra[..], c.mels.as_mut_slice()));
-            self.frames_forward(frames, &mut scratch.bufs, out.as_mut_slice(), cache);
-        } else if kernel::threads() > 1 && n_frames > RfftPlan::BLOCK {
-            kernel::par_row_blocks(
-                out.as_mut_slice(),
-                cfg.n_cepstra,
-                RfftPlan::BLOCK,
-                FrameBufs::default,
-                |bufs, first, rows| {
-                    let block = frames.range(first, rows.len() / cfg.n_cepstra);
-                    self.frames_forward(block, bufs, rows, None);
-                },
-            );
-        } else {
-            self.frames_forward(frames, &mut scratch.bufs, out.as_mut_slice(), None);
-        }
+            (&mut c.spectra[..], c.mels.as_mut_slice())
+        });
+        self.frames_forward(frames, &mut scratch.bufs, out.as_mut_slice(), cache);
     }
 
     /// Backpropagates a gradient over the MFCC matrix to a gradient over
@@ -457,11 +439,6 @@ impl StreamingMfcc {
     /// Total raw samples pushed since the last reset.
     pub fn n_samples(&self) -> usize {
         self.n_samples
-    }
-
-    /// Number of MFCC rows emitted since the last reset.
-    pub fn frames_emitted(&self) -> usize {
-        self.next_frame
     }
 
     /// Feeds `chunk` and appends every newly completed MFCC row to `out`.

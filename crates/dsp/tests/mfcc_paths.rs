@@ -1,21 +1,10 @@
 //! MFCC bits are path-independent. The workspace reaches MFCC features
-//! four ways — the one-shot extractor (serial, or fanned out over kernel
-//! threads, from `f64` or raw `f32` samples), the gradient-caching pass
-//! of the white-box attack, and the streaming extractor under any
-//! chunking — and served verdicts equal in-process ones only if all four
-//! yield the same bits. A spectrogram
-//! frame must likewise equal a one-frame forward transform of the same
-//! windowed samples.
-//!
-//! This file is its own test binary because it sets the process-global
-//! kernel thread count.
+//! three ways — the one-shot extractor (from `f64` or raw `f32` samples,
+//! reusing one scratch plan), the gradient-caching pass of the white-box
+//! attack, and the streaming extractor under any chunking — and served
+//! verdicts equal in-process ones only if all three yield the same bits.
 
-use mvp_dsp::frame::frames;
-use mvp_dsp::kernel::{self, RfftPlan, RfftScratch};
-use mvp_dsp::spectrogram::spectrogram;
-use mvp_dsp::{
-    Complex, FeatureMatrix, MfccConfig, MfccExtractor, MfccScratch, StreamingMfcc, Window,
-};
+use mvp_dsp::{FeatureMatrix, MfccConfig, MfccExtractor, MfccScratch, StreamingMfcc, Window};
 use proptest::prelude::*;
 
 /// Deterministic xorshift stream in `[-1, 1)`.
@@ -87,20 +76,12 @@ proptest! {
         let ex = MfccExtractor::new(cfg);
         let samples = signal(seed, n_samples);
 
-        // One-shot extraction at 1, 2 and 3 kernel threads, reusing one
-        // scratch plan across all of them.
+        // One-shot extraction, reusing one scratch plan below.
         let mut scratch = MfccScratch::default();
         let mut out = FeatureMatrix::default();
-        kernel::set_threads(1);
         ex.extract_into(&samples, &mut scratch, &mut out);
         let reference = bits(&out);
         prop_assert_eq!(reference.0, ex.n_frames_for(n_samples));
-        for threads in [2, 3] {
-            kernel::set_threads(threads);
-            ex.extract_into(&samples, &mut scratch, &mut out);
-            prop_assert!(bits(&out) == reference, "extract_into at {threads} threads");
-        }
-        kernel::set_threads(0);
 
         // The gradient-caching pass.
         let (cached, _) = ex.extract_with_cache(&samples);
@@ -124,20 +105,6 @@ proptest! {
         for (name, lens) in [("1-sample", vec![1]), ("960-sample", vec![960]), ("random", random)] {
             let got = streamed(&ex, &samples, &lens);
             prop_assert!(bits(&got) == reference, "{name} chunks");
-        }
-
-        // A spectrogram frame equals `forward` on the same windowed frame.
-        let spec = spectrogram(&samples, 16_000, frame_len, hop, n_fft, WINDOWS[window_idx]);
-        let coeffs = WINDOWS[window_idx].coefficients(frame_len);
-        let plan = RfftPlan::new(n_fft);
-        let mut rfft = RfftScratch::default();
-        let mut bins = vec![Complex::ZERO; plan.n_bins()];
-        for (t, frame) in frames(&samples, frame_len, hop).rows().enumerate() {
-            let windowed: Vec<f64> = frame.iter().zip(&coeffs).map(|(s, w)| s * w).collect();
-            plan.forward(&windowed, &mut rfft, &mut bins);
-            let want: Vec<u64> = bins.iter().map(|z| z.norm_sq().to_bits()).collect();
-            let got: Vec<u64> = spec.frame(t).iter().map(|p| p.to_bits()).collect();
-            prop_assert!(got == want, "spectrogram frame {t}");
         }
     }
 }

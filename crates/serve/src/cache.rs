@@ -1,15 +1,14 @@
-//! Content-addressed LRU transcription cache.
+//! Content-addressed LRU verdict cache.
 //!
 //! Serving traffic is heavily duplicated — wake-word clips, replayed
 //! probes, retries — so the engine keys each waveform by a hash of its
-//! exact sample content and caches the *per-recogniser transcription
-//! vector*. A hit skips every ASR entirely; only complete (non-degraded)
-//! vectors are inserted, so a hit always equals what the recognisers
-//! would produce.
+//! exact sample content and caches its *full detection*. A hit skips
+//! every ASR, the similarity scorer, every modality and the classifier;
+//! only full (non-degraded) whole-waveform detections are inserted, so a
+//! hit always equals what deciding the audio again would produce.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use mvp_audio::Waveform;
 
@@ -91,7 +90,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 ///
 /// Two waveforms collide only if they are bit-identical audio (or in the
 /// astronomically unlikely 64-bit hash collision, which would serve a
-/// stale transcription — acceptable for this engine's accuracy budget).
+/// stale verdict — acceptable for this engine's accuracy budget).
 pub fn waveform_key(wave: &Waveform) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |word: u64| {
@@ -105,10 +104,6 @@ pub fn waveform_key(wave: &Waveform) -> u64 {
     }
     h
 }
-
-/// The transcription vectors the engine caches: one entry per
-/// recogniser, target first.
-pub type TranscriptVec = Arc<Vec<String>>;
 
 #[cfg(test)]
 mod tests {

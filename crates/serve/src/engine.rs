@@ -6,7 +6,7 @@
 //!  StreamHandle::push/finish ┘   sheds one-shots, blocks streams)
 //!                             │
 //!                         batcher thread
-//!        whole waveforms: cache hit ⇒ finalize here; misses grouped
+//!        whole waveforms: cache hit ⇒ replay its verdict; misses grouped
 //!        into micro-batches (flush on max_batch or max_delay_ms,
 //!        deduped by waveform hash); stream chunks forwarded as they come
 //!                    │                      │
@@ -48,7 +48,11 @@
 //! detection uses: on an engine serving a fused system with its whole
 //! modality registry, a whole-waveform request passes its audio along
 //! and the fused classifier answers, bit for bit as
-//! [`DetectionSystem::detect`] would.
+//! [`DetectionSystem::detect`] would. The cache holds each full
+//! whole-waveform [`Detection`], and a hit replays it without deciding
+//! again: every part of a detection is a function of the waveform alone
+//! (the modality noise is seeded), so the replay is the verdict a miss
+//! would make, modality timings aside.
 //!
 //! Every stage is instrumented: `serve.submit`, `serve.flush`,
 //! `serve.cache_hit`, `serve.transcribe_batch` and `serve.finalize`
@@ -74,7 +78,7 @@ use mvp_modality::{ModalityKind, ModalityOutcome};
 use mvp_obs::metrics::Counter;
 use mvp_obs::{AuditLog, JsonObj, Registry};
 
-use crate::cache::{waveform_key, LruCache, TranscriptVec};
+use crate::cache::{waveform_key, LruCache};
 use crate::degrade::{DegradePolicy, FallbackTier};
 use crate::stats::{ServeStats, StatsSnapshot};
 
@@ -108,7 +112,8 @@ pub struct EngineConfig {
     /// whose name matches no [`AsrProfile`] cannot be swapped and fails
     /// engine start.
     pub aux_int8: Vec<bool>,
-    /// Transcription-cache capacity in waveforms; `0` disables caching.
+    /// Verdict-cache capacity in waveforms; `0` disables caching. A hit
+    /// replays the full detection cached for the same audio.
     pub cache_cap: usize,
     /// The modality mix scored per whole-waveform request. Empty (the
     /// default) = similarity only. Otherwise it must be the served
@@ -170,7 +175,7 @@ pub struct Verdict {
     pub is_adversarial: Option<bool>,
     /// Full, degraded, or failed.
     pub kind: VerdictKind,
-    /// Whether the transcription vector came from the cache.
+    /// Whether the verdict was replayed from the cache.
     pub from_cache: bool,
     /// Per-auxiliary similarity scores; `None` where the auxiliary was
     /// missing.
@@ -423,7 +428,7 @@ struct Request {
     texts: Vec<Option<String>>,
     /// Per recogniser: wall time spent transcribing, for audit records.
     transcribe_us: Vec<Option<u64>>,
-    /// The transcripts came from the cache.
+    /// The verdict was replayed from the cache.
     from_cache: bool,
     running: RunningBuffer,
 }
@@ -492,14 +497,14 @@ impl Request {
     }
 }
 
-/// The transcription cache shared between batcher and collector.
+/// The verdict cache shared between batcher and collector.
 ///
 /// All access goes through [`with`](Self::with), which recovers — and
 /// counts — a poisoned lock: a thread panicking while holding the cache
 /// must degrade to a possibly-stale cache, never wedge the engine.
 #[derive(Clone)]
 struct SharedCache {
-    inner: Arc<Mutex<LruCache<u64, TranscriptVec>>>,
+    inner: Arc<Mutex<LruCache<u64, Arc<Detection>>>>,
     poison_recovered: Counter,
 }
 
@@ -508,7 +513,7 @@ impl SharedCache {
         SharedCache { inner: Arc::new(Mutex::new(LruCache::new(capacity))), poison_recovered }
     }
 
-    fn with<T>(&self, f: impl FnOnce(&mut LruCache<u64, TranscriptVec>) -> T) -> T {
+    fn with<T>(&self, f: impl FnOnce(&mut LruCache<u64, Arc<Detection>>) -> T) -> T {
         let mut guard = match self.inner.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -724,12 +729,6 @@ impl DetectionEngine {
             };
             recognizers[j + 1] = profile.trained_quantized();
         }
-        // Partition the machine's cores between the ASR workers: each
-        // worker's kernel-plane frame parallelism (`par_rows` inside
-        // MFCC/CTC) gets an equal share, so intra-request data
-        // parallelism never oversubscribes the batch plane.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        mvp_dsp::kernel::set_threads((cores / recognizers.len().max(1)).max(1));
         let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
             std::thread::Builder::new()
                 .name(name)
@@ -908,9 +907,6 @@ impl DetectionEngine {
                 std::panic::resume_unwind(panic);
             }
         }
-        // Give the kernel plane its automatic thread count back now
-        // that the worker fleet no longer owns the cores.
-        mvp_dsp::kernel::set_threads(0);
     }
 }
 
@@ -1061,7 +1057,7 @@ fn worker_loop(
     }
 }
 
-fn lookup(shared: &Shared, key: u64) -> Option<TranscriptVec> {
+fn lookup(shared: &Shared, key: u64) -> Option<Arc<Detection>> {
     let cache = shared.cache.as_ref()?;
     shared.stats.cache_lookups.inc();
     let hit = cache.with(|c| c.get(&key).cloned());
@@ -1137,11 +1133,10 @@ fn batcher_loop(
                 shared.stats.queue_depth.dec();
                 waiter.queued_us = micros(waiter.submitted.elapsed());
                 let mut request = Request::new(waiter, Some((key, wave)), n_rec);
-                if let Some(texts) = lookup(&shared, key) {
+                if let Some(hit) = lookup(&shared, key) {
                     let _span = mvp_obs::span!("serve.cache_hit", request.id);
-                    request.texts = texts.iter().cloned().map(Some).collect();
                     request.from_cache = true;
-                    finalize(&shared, &mut request, None);
+                    finalize(&shared, &mut request, Some(Detection::clone(&hit)));
                     continue;
                 }
                 pending.push(request);
@@ -1258,23 +1253,21 @@ fn decide(shared: &Shared, request: &mut Request) -> (Verdict, Option<f64>) {
         return (Verdict::degraded(tier, is_adversarial, scores, target), threshold);
     }
     let aux: Vec<String> = aux.into_iter().flatten().collect();
-    if let (Some((key, _)), Some(cache), false) =
-        (&request.audio, &shared.cache, request.from_cache)
-    {
-        let vector: Vec<String> = std::iter::once(&target).chain(&aux).cloned().collect();
-        cache.with(|c| c.insert(*key, Arc::new(vector)));
-    }
     let wave = request.audio.as_ref().filter(|_| shared.fused).map(|(_, wave)| wave.as_ref());
     let detection = system.detect_from_transcripts(target, aux, wave);
     shared.stats.modality_scored.add(detection.modalities.len() as u64);
+    if let (Some((key, _)), Some(cache)) = (&request.audio, &shared.cache) {
+        cache.with(|c| c.insert(*key, Arc::new(detection.clone())));
+    }
     (Verdict::full(detection), None)
 }
 
 /// Answers everyone waiting on `request` — the one place a verdict is
-/// made. `early` is a detection the early-exit rule fired before
-/// end-of-stream; without it the verdict is decided from the request's
-/// final transcripts. A request already answered early is left alone.
-fn finalize(shared: &Shared, request: &mut Request, early: Option<Detection>) {
+/// made. `decided` is a detection made before finalize: the early-exit
+/// rule's, fired before end-of-stream, or a cache hit's replayed verdict;
+/// without it the verdict is decided from the request's final
+/// transcripts. A request already answered is left alone.
+fn finalize(shared: &Shared, request: &mut Request, decided: Option<Detection>) {
     let n_waiters = request.waiters.len();
     if n_waiters == 0 {
         return;
@@ -1283,14 +1276,16 @@ fn finalize(shared: &Shared, request: &mut Request, early: Option<Detection>) {
     let started = Instant::now();
     let stats = &shared.stats;
     // Audit records carry the auxiliary transcripts the verdict read.
-    let aux_texts: Vec<Option<String>> = match (&shared.audit, &early) {
+    let aux_texts: Vec<Option<String>> = match (&shared.audit, &decided) {
         (None, _) => Vec::new(),
         (Some(_), Some(d)) => d.auxiliary_transcriptions.iter().cloned().map(Some).collect(),
         (Some(_), None) => request.texts.get(1..).unwrap_or_default().to_vec(),
     };
-    let (mut verdict, threshold) = match early {
+    let (mut verdict, threshold) = match decided {
         Some(detection) => {
-            stats.stream_early_exits.inc();
+            if detection.early_exit {
+                stats.stream_early_exits.inc();
+            }
             (Verdict::full(detection), None)
         }
         None => decide(shared, request),
@@ -1331,11 +1326,23 @@ fn finalize(shared: &Shared, request: &mut Request, early: Option<Detection>) {
 mod tests {
     use super::*;
 
+    fn detection(target: &str) -> Detection {
+        Detection {
+            is_adversarial: false,
+            scores: vec![0.9],
+            target_transcription: target.into(),
+            auxiliary_transcriptions: vec![target.into()],
+            modalities: Vec::new(),
+            fused: false,
+            early_exit: false,
+        }
+    }
+
     #[test]
     fn shared_cache_recovers_from_poisoning() {
         let recovered = Counter::new();
         let cache = SharedCache::new(4, recovered.clone());
-        cache.with(|c| c.insert(1, Arc::new(vec!["a".into()])));
+        cache.with(|c| c.insert(1, Arc::new(detection("a"))));
         let poisoner = cache.clone();
         let _ = std::thread::spawn(move || {
             let _guard = poisoner.inner.lock().unwrap();
@@ -1344,8 +1351,9 @@ mod tests {
         .join();
         // The poisoned lock is recovered (and counted), not propagated:
         // the cache keeps answering.
-        assert_eq!(cache.with(|c| c.get(&1).cloned()).map(|v| v.len()), Some(1));
-        cache.with(|c| c.insert(2, Arc::new(vec!["b".into()])));
+        let hit = cache.with(|c| c.get(&1).cloned());
+        assert_eq!(hit.map(|d| d.target_transcription.clone()).as_deref(), Some("a"));
+        cache.with(|c| c.insert(2, Arc::new(detection("b"))));
         assert!(cache.with(|c| c.get(&2).is_some()));
         assert_eq!(recovered.get(), 1);
     }

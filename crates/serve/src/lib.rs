@@ -12,8 +12,9 @@
 //! - **micro-batching** — requests are grouped until `max_batch` or
 //!   `max_delay_ms`, amortising per-call overhead and deduplicating
 //!   identical waveforms within a batch;
-//! - a **content-addressed LRU cache** of transcription vectors — an
-//!   exact waveform replay skips every ASR;
+//! - a **content-addressed LRU cache** of full verdicts — an exact
+//!   waveform replay is answered with the cached detection, skipping
+//!   every ASR, modality and classifier;
 //! - **per-request deadlines with graceful degradation** — an auxiliary
 //!   that misses its deadline is dropped from the score vector and a
 //!   [`DegradePolicy`] fallback ladder still answers;
@@ -55,7 +56,7 @@ pub mod degrade;
 pub mod engine;
 pub mod stats;
 
-pub use cache::{waveform_key, LruCache, TranscriptVec};
+pub use cache::{waveform_key, LruCache};
 pub use degrade::{DegradePolicy, FallbackTier};
 pub use engine::{
     DetectionEngine, EngineConfig, PendingVerdict, StreamHandle, SubmitError, Verdict, VerdictKind,

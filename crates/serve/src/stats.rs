@@ -110,16 +110,17 @@ counters! {
     /// Requests that failed outright (target ASR missed the deadline).
     deadline_failures: "serve_deadline_failures_total", "requests failed on target deadline";
     /// Cache lookups performed.
-    cache_lookups: "serve_cache_lookups_total", "transcription cache lookups";
+    cache_lookups: "serve_cache_lookups_total", "verdict cache lookups";
     /// Cache lookups that hit.
-    cache_hits: "serve_cache_hits_total", "transcription cache hits";
+    cache_hits: "serve_cache_hits_total", "verdict cache hits";
     /// Times a poisoned cache lock was recovered (a worker panicked
     /// while holding it and the engine carried on).
     cache_poison_recovered: "serve_cache_poison_recovered_total",
         "poisoned cache locks recovered after a worker panic";
     /// Batches dispatched to workers.
     batches: "serve_batches_total", "micro-batches dispatched";
-    /// Modality evaluations completed (one per modality per request).
+    /// Modality evaluations completed (one per modality per decided
+    /// request; a cache hit replays its verdict and scores none).
     modality_scored: "serve_modality_scored_total", "modality evaluations completed";
     /// Requests answered by the fused similarity + modality classifier.
     fused_verdicts: "serve_fused_verdicts_total", "requests answered by the fused classifier";

@@ -20,6 +20,28 @@ RUSTFLAGS="-Dwarnings" cargo test --release -q --workspace
 # against the mvp-serve API it drives, so an API break fails here.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+# Served == in-process on every benchmark workload: perfbench recomputes
+# each served verdict in-process (int8 auxiliaries, fused verdicts,
+# streams with early exit, cache replays) and reports `"correct": false`
+# on any mismatch, failed request or workload self-check. Runs are
+# untraced, so no timing or stage-ledger reading can fail this step.
+perfbench_verdicts() {
+    local log workload line
+    log=$(mktemp)
+    trap 'rm -f "$log"' RETURN
+    for workload in oneshot-fresh oneshot-replay stream-early-exit fused-int8; do
+        line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace 0 2> "$log" | tail -n 1) || true
+        if ! jq -e '.correct == true' <<< "$line" > /dev/null 2>&1; then
+            cat "$log" >&2
+            echo "perfbench_verdicts: $workload did not read correct: ${line:-no result}" >&2
+            return 1
+        fi
+        echo "perfbench_verdicts: $workload served verdicts equal in-process ones"
+    done
+}
+perfbench_verdicts
+
 # Static-analysis gate: the workspace's own invariants (data-plane Mat
 # discipline, serve-path panic freedom via the workspace call graph,
 # NaN-safe comparators, allocation-free kernel hot paths, artifact

@@ -1,7 +1,8 @@
 //! End-to-end tests for the serving engine: verdict parity with the
 //! one-shot detection API under concurrent load, cache-hit behaviour,
-//! graceful degradation when an auxiliary is deadline-disabled, and
-//! warm starts from a persisted detection-system snapshot.
+//! graceful degradation when an auxiliary is deadline-disabled, warm
+//! starts from a persisted detection-system snapshot, and engines that
+//! leave the process-global kernel thread count alone.
 
 use std::sync::Arc;
 
@@ -105,8 +106,27 @@ fn engine_verdicts_match_one_shot_detection() {
     assert_eq!(stats.deadline_failures, 0);
     assert_eq!(stats.degraded, 0);
     assert!(stats.cache_hits >= 1, "replay must hit the cache");
+    assert_eq!(stats.stream_early_exits, 0, "a replayed verdict is no early exit");
     assert_eq!(stats.queue_depth, 0, "every answered request has left the ingress queue");
     engine.shutdown();
+}
+
+#[test]
+fn engines_leave_the_kernel_thread_count_alone() {
+    let threads = mvp_ears_suite::dsp::kernel::threads();
+    let system = trained_system();
+    let start = || {
+        let policy = DegradePolicy::untrained(system.n_auxiliaries());
+        DetectionEngine::start(Arc::clone(&system), policy, EngineConfig::default())
+    };
+    let first = start();
+    assert_eq!(mvp_ears_suite::dsp::kernel::threads(), threads, "engine start");
+    let second = start();
+    assert_eq!(mvp_ears_suite::dsp::kernel::threads(), threads, "a second engine's start");
+    first.shutdown();
+    assert_eq!(mvp_ears_suite::dsp::kernel::threads(), threads, "one engine's shutdown");
+    second.shutdown();
+    assert_eq!(mvp_ears_suite::dsp::kernel::threads(), threads, "the last engine's shutdown");
 }
 
 #[test]
