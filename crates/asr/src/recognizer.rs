@@ -155,9 +155,6 @@ impl TrainedAsr {
         waves
             .iter()
             .map(|wave| {
-                if wave.is_empty() {
-                    return String::new();
-                }
                 {
                     let _span = mvp_obs::span!("asr.features");
                     self.frontend.features_into(
@@ -166,6 +163,11 @@ impl TrainedAsr {
                         &mut scratch.feats,
                     );
                     self.am_forward(&scratch.feats, &mut scratch.am, &mut scratch.logits);
+                }
+                // Empty audio transcribes as silence, but its logits are
+                // still the ones `logits` computes.
+                if wave.is_empty() {
+                    return String::new();
                 }
                 let _span = mvp_obs::span!("asr.decode");
                 self.decoder.decode(&scratch.logits)
@@ -318,8 +320,9 @@ pub struct AsrScratch {
 
 impl AsrScratch {
     /// The logit matrix of the last waveform transcribed through this
-    /// scratch — the served path's logits, for parity checks against
-    /// [`TrainedAsr::logits`].
+    /// scratch, bit for bit what [`TrainedAsr::logits`] returns for it
+    /// (empty audio included): the served path reads the target's
+    /// logits here.
     pub fn logits(&self) -> &FeatureMatrix {
         &self.logits
     }
@@ -453,6 +456,10 @@ mod tests {
             let (attack_feats, _) = asr.frontend().features_with_cache(wave);
             assert_eq!(bits(&attack_feats), bits(&asr.frontend().features(wave)));
         }
+        // Empty audio skips the decode, not the logits: the scratch holds
+        // the empty wave's logits, not the previous wave's.
+        assert_eq!(asr.transcribe_batch_with(&[&empty], &mut scratch), [""]);
+        assert_eq!(bits(scratch.logits()), bits(&asr.logits(&empty)));
     }
 
     #[test]

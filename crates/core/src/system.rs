@@ -360,11 +360,12 @@ impl DetectionSystem {
     /// Completes the detection pipeline from already-computed
     /// transcriptions — the one place a verdict is decided, shared by
     /// [`detect`](Self::detect), streams and serving layers that obtained
-    /// the transcriptions through their own workers (and possibly a
-    /// cache). Given `wave` on a system with a fused classifier, every
-    /// registered modality is scored on it and the fused classifier
-    /// decides (`Detection::fused` is true); otherwise the paper's
-    /// similarity classifier decides.
+    /// the transcriptions through their own workers. Given every
+    /// registered modality's outcome, already scored and in registry
+    /// order ([`score_modalities`](Self::score_modalities) in process,
+    /// `ModalityRegistry::assemble` from served work), on a system with a
+    /// fused classifier, the fused classifier decides (`Detection::fused`
+    /// is true); otherwise the paper's similarity classifier decides.
     ///
     /// # Panics
     ///
@@ -374,12 +375,11 @@ impl DetectionSystem {
         &self,
         target: String,
         auxiliaries: Vec<String>,
-        wave: Option<&Waveform>,
+        modalities: Option<Vec<ModalityOutcome>>,
     ) -> Detection {
         let scores = self.scores_from_transcripts(&target, &auxiliaries);
-        let (is_adversarial, modalities, fused) = match (wave, &self.fused) {
-            (Some(wave), Some(fused)) => {
-                let modalities = self.score_modalities(wave, &target);
+        let (is_adversarial, modalities, fused) = match (modalities, &self.fused) {
+            (Some(modalities), Some(fused)) => {
                 (fused.is_adversarial(&fused_row(&scores, &modalities)), modalities, true)
             }
             _ => (self.classify_scores(&scores), Vec::new(), false),
@@ -407,7 +407,8 @@ impl DetectionSystem {
     pub fn detect(&self, wave: &Waveform) -> Detection {
         let _span = mvp_obs::span!("detect");
         let (target, auxiliaries) = self.transcripts(wave);
-        self.detect_from_transcripts(target, auxiliaries, Some(wave))
+        let modalities = self.fused.is_some().then(|| self.score_modalities(wave, &target));
+        self.detect_from_transcripts(target, auxiliaries, modalities)
     }
 }
 

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use mvp_asr::am::{softmax_into, N_CLASSES};
 use mvp_dsp::Mat;
 
-use crate::{drift_similarity, Modality, ModalityInput, ModalityKind, ModalityScore};
+use crate::{drift_similarity, Evidence, Modality, ModalityKind};
 
 /// The output-distribution modality. Features, in order (all oriented
 /// higher = more benign-stable):
@@ -72,12 +72,16 @@ impl Modality for DistributionFeatures {
         &["negentropy", "max_prob", "margin", "noise_stability"]
     }
 
-    fn score(&self, input: &ModalityInput<'_>) -> ModalityScore {
-        let logits = input.asr.logits(input.wave);
+    fn reads_logits(&self) -> bool {
+        true
+    }
+
+    fn features(&self, evidence: &Evidence<'_>) -> Vec<f64> {
+        let (asr, logits) = (evidence.asr, evidence.logits);
         if logits.is_empty() {
             // No frames (empty/near-empty audio): neutral, maximally
             // benign-stable evidence rather than NaNs.
-            return ModalityScore { features: vec![1.0; self.feature_dim()] };
+            return vec![1.0; self.feature_dim()];
         }
 
         let ln_c = (N_CLASSES as f64).ln();
@@ -104,7 +108,7 @@ impl Modality for DistributionFeatures {
         }
         let n = logits.n_rows() as f64;
 
-        let clean = input.asr.decoder().decode(&logits);
+        let clean = asr.decoder().decode(logits);
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut stability = 0.0f64;
         let mut noisy = Mat::zeros(logits.n_rows(), logits.n_cols());
@@ -112,23 +116,22 @@ impl Modality for DistributionFeatures {
             for (dst, &src) in noisy.as_mut_slice().iter_mut().zip(logits.as_slice()) {
                 *dst = src + self.noise_scale * gaussian(&mut rng);
             }
-            stability += drift_similarity(&clean, &input.asr.decoder().decode(&noisy));
+            stability += drift_similarity(&clean, &asr.decoder().decode(&noisy));
         }
 
-        ModalityScore {
-            features: vec![
-                1.0 - entropy_sum / n,
-                max_sum / n,
-                margin_sum / n,
-                stability / self.noise_draws as f64,
-            ],
-        }
+        vec![
+            1.0 - entropy_sum / n,
+            max_sum / n,
+            margin_sum / n,
+            stability / self.noise_draws as f64,
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModalityInput;
     use mvp_asr::{Asr, AsrProfile};
     use mvp_audio::synth::{SpeakerProfile, Synthesizer};
     use mvp_audio::Waveform;

@@ -9,11 +9,10 @@
 //! fitted on when the block is fused (benign-only training — no AE data
 //! needed).
 
-use mvp_asr::AsrScratch;
 use mvp_audio::noise::mix_at_snr;
 use mvp_audio::{NoiseKind, Waveform};
 
-use crate::{drift_similarity, Modality, ModalityInput, ModalityKind, ModalityScore};
+use crate::{drift_similarity, Evidence, Modality, ModalityKind};
 
 /// The variant-instability modality. Features, in order (higher = more
 /// benign-stable):
@@ -68,34 +67,47 @@ impl Modality for VariantInstability {
         &["mean_agreement", "min_agreement", "exact_frac"]
     }
 
-    fn score(&self, input: &ModalityInput<'_>) -> ModalityScore {
-        let n = input.wave.samples().len();
-        if n == 0 {
-            return ModalityScore { features: vec![1.0; self.feature_dim()] };
-        }
-        let variants: Vec<Waveform> = (0..self.n_variants)
-            .map(|i| {
-                let noise =
-                    NoiseKind::White.generate(n, input.wave.sample_rate(), self.seed + i as u64);
-                mix_at_snr(input.wave, &noise, self.snr_db)
-            })
-            .collect();
-        let refs: Vec<&Waveform> = variants.iter().collect();
-        let texts = input.asr.transcribe_batch_with(&refs, &mut AsrScratch::default());
+    fn n_derived(&self) -> usize {
+        self.n_variants
+    }
 
-        let clean = input.target_text;
+    /// Variant `j`: seeded white noise mixed in at the configured SNR.
+    /// Silent audio (empty included) has no SNR to set: its variants are
+    /// empty, and its features neutral.
+    fn derive(&self, wave: &Waveform, j: usize) -> Waveform {
+        if !has_signal(wave) {
+            return Waveform::from_samples(Vec::new(), wave.sample_rate());
+        }
+        let n = wave.samples().len();
+        let noise = NoiseKind::White.generate(n, wave.sample_rate(), self.seed + j as u64);
+        mix_at_snr(wave, &noise, self.snr_db)
+    }
+
+    fn features(&self, evidence: &Evidence<'_>) -> Vec<f64> {
+        let texts = evidence.derived;
+        if !has_signal(evidence.wave) {
+            return vec![1.0; self.feature_dim()];
+        }
+        let clean = evidence.target_text;
         let agreements: Vec<f64> = texts.iter().map(|t| drift_similarity(clean, t)).collect();
         let mean = agreements.iter().sum::<f64>() / agreements.len() as f64;
         let min = agreements.iter().copied().fold(f64::INFINITY, f64::min);
         let exact =
             texts.iter().filter(|t| t.as_str() == clean).count() as f64 / texts.len() as f64;
-        ModalityScore { features: vec![mean, min, exact] }
+        vec![mean, min, exact]
     }
+}
+
+/// Whether `wave` has a signal to set an SNR against: [`mix_at_snr`]
+/// refuses silent (and empty) audio.
+fn has_signal(wave: &Waveform) -> bool {
+    wave.rms() > 0.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModalityInput;
     use mvp_asr::{Asr, AsrProfile};
     use mvp_audio::synth::{SpeakerProfile, Synthesizer};
     use mvp_phonetics::Lexicon;
@@ -124,6 +136,11 @@ mod tests {
     #[test]
     fn empty_audio_is_neutral() {
         assert_eq!(scored(&Waveform::from_samples(Vec::new(), 16_000)), vec![1.0; 3]);
+    }
+
+    #[test]
+    fn silent_audio_is_neutral() {
+        assert_eq!(scored(&Waveform::from_samples(vec![0.0; 16_000], 16_000)), vec![1.0; 3]);
     }
 
     #[test]

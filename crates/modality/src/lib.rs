@@ -21,7 +21,12 @@
 //!
 //! Every modality implements the [`Modality`] trait and is addressed by a
 //! [`ModalityKind`]; a [`ModalityRegistry`] evaluates an ordered set of
-//! modalities with per-modality spans and timings. **Feature
+//! modalities with per-modality spans and timings. A modality's
+//! target-ASR work (its derived waveforms, the target's logits) is split
+//! from its [`features`](Modality::features), so a serving engine can run
+//! that work on its recogniser workers and assemble the same blocks
+//! ([`ModalityRegistry::assemble`]) that [`Modality::score`] computes in
+//! process. **Feature
 //! orientation:** every feature is scaled so that *higher means more
 //! benign-stable* (matching the similarity scores' geometry), so one
 //! classifier convention covers the fused vector and ROC analyses can
@@ -40,8 +45,9 @@ pub use distribution::DistributionFeatures;
 pub use instability::VariantInstability;
 pub use transform::{AudioTransform, TransformCompare};
 
-use mvp_asr::TrainedAsr;
+use mvp_asr::{AsrScratch, TrainedAsr};
 use mvp_audio::Waveform;
+use mvp_dsp::mfcc::FeatureMatrix;
 use mvp_phonetics::{Encoder as PhoneticEncoder, PhoneticEncoder as _};
 use mvp_textsim::Similarity;
 
@@ -147,6 +153,27 @@ impl<'a> ModalityInput<'a> {
     }
 }
 
+/// What a modality's [`features`](Modality::features) read for one
+/// audio, with every target-ASR pass already run: by
+/// [`Modality::score`] in process, or by a serving engine's workers.
+#[derive(Debug, Clone, Copy)]
+pub struct Evidence<'a> {
+    /// The target recogniser.
+    pub asr: &'a TrainedAsr,
+    /// The audio under test.
+    pub wave: &'a Waveform,
+    /// The target ASR's transcription of `wave`.
+    pub target_text: &'a str,
+    /// The target's logits of `wave`, exactly as [`TrainedAsr::logits`]
+    /// computes them. Only a modality whose
+    /// [`reads_logits`](Modality::reads_logits) holds reads them; the
+    /// others may get an empty matrix.
+    pub logits: &'a FeatureMatrix,
+    /// The target's transcripts of the modality's derived waveforms, in
+    /// [`derive`](Modality::derive) order.
+    pub derived: &'a [String],
+}
+
 /// One modality's verdict evidence for one audio.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModalityScore {
@@ -157,6 +184,13 @@ pub struct ModalityScore {
 
 /// A detection modality: reduces one audio to a fixed-width block of
 /// stability features.
+///
+/// A modality's target-ASR work is split from its arithmetic so that it
+/// can run where the recognisers run: [`derive`](Self::derive) builds
+/// each derived waveform alone (one target transcription each), the
+/// target's logits are read where they were computed, and
+/// [`features`](Self::features) reduces the results. [`score`](Self::score)
+/// composes the three in process.
 pub trait Modality: Send + Sync {
     /// The kind this modality instantiates.
     fn kind(&self) -> ModalityKind;
@@ -164,8 +198,51 @@ pub trait Modality: Send + Sync {
     fn feature_dim(&self) -> usize;
     /// Static names of the features, in block order.
     fn feature_names(&self) -> &'static [&'static str];
-    /// Scores one audio. Deterministic: same input, same features.
-    fn score(&self, input: &ModalityInput<'_>) -> ModalityScore;
+    /// How many derived waveforms the features read a target
+    /// transcription of.
+    fn n_derived(&self) -> usize {
+        0
+    }
+    /// Builds derived waveform `j` (`j < n_derived()`) of `wave`, and
+    /// only that one. A modality that derives nothing is never asked;
+    /// the default returns `wave` unchanged.
+    fn derive(&self, wave: &Waveform, _j: usize) -> Waveform {
+        wave.clone()
+    }
+    /// Whether the features read [`Evidence::logits`]. A modality that
+    /// does derives no waveforms: serving layers compute its features
+    /// next to the target's recognition, before any derived transcript
+    /// exists.
+    fn reads_logits(&self) -> bool {
+        false
+    }
+    /// The feature block of one audio from its evidence. Deterministic:
+    /// same evidence, same features.
+    fn features(&self, evidence: &Evidence<'_>) -> Vec<f64>;
+    /// Scores one audio in process: derives every waveform, transcribes
+    /// them with the target on one scratch, computes the target's logits
+    /// when the features read them, and reduces the lot with
+    /// [`features`](Self::features). Deterministic: same input, same
+    /// features.
+    fn score(&self, input: &ModalityInput<'_>) -> ModalityScore {
+        let derived: Vec<Waveform> =
+            (0..self.n_derived()).map(|j| self.derive(input.wave, j)).collect();
+        let refs: Vec<&Waveform> = derived.iter().collect();
+        let derived = input.asr.transcribe_batch_with(&refs, &mut AsrScratch::default());
+        let logits = if self.reads_logits() {
+            input.asr.logits(input.wave)
+        } else {
+            FeatureMatrix::default()
+        };
+        let evidence = Evidence {
+            asr: input.asr,
+            wave: input.wave,
+            target_text: input.target_text,
+            logits: &logits,
+            derived: &derived,
+        };
+        ModalityScore { features: self.features(&evidence) }
+    }
 }
 
 /// A scored modality with its evaluation time, as produced by
@@ -176,7 +253,10 @@ pub struct ModalityOutcome {
     pub kind: ModalityKind,
     /// The feature block, higher = more benign-stable.
     pub features: Vec<f64>,
-    /// Wall time spent scoring this modality.
+    /// Time spent scoring this modality. In process this is the wall
+    /// time of [`Modality::score`]; assembled by
+    /// [`ModalityRegistry::assemble`], it is the time spent on each of
+    /// its derived transcriptions, summed, plus its feature time.
     pub elapsed_us: u64,
 }
 
@@ -275,14 +355,90 @@ impl ModalityRegistry {
             .collect()
     }
 
+    /// Derived waveforms over every registered modality: the target
+    /// transcriptions scoring costs beyond the audio's own.
+    pub fn n_derived(&self) -> usize {
+        self.entries.iter().map(|m| m.n_derived()).sum()
+    }
+
+    /// Derived waveform `slot` of `wave`, numbering every registered
+    /// modality's derived waveforms in registry order; `None` from
+    /// [`n_derived`](Self::n_derived) on.
+    pub fn derive(&self, wave: &Waveform, slot: usize) -> Option<Waveform> {
+        let mut first = 0;
+        for modality in &self.entries {
+            let n = modality.n_derived();
+            if slot < first + n {
+                return Some(modality.derive(wave, slot - first));
+            }
+            first += n;
+        }
+        None
+    }
+
+    /// The features of every registered modality that reads the
+    /// target's logits, each timed under its own span, from `evidence`
+    /// (whose `derived` such modalities do not read).
+    pub fn logit_features(&self, evidence: &Evidence<'_>) -> Vec<ModalityOutcome> {
+        self.entries
+            .iter()
+            .filter(|m| m.reads_logits())
+            .map(|m| Self::timed(m.as_ref(), || m.features(evidence)))
+            .collect()
+    }
+
+    /// Every registered modality's outcome, in registry order, from
+    /// target-ASR work done elsewhere: `logit_blocks` is
+    /// [`logit_features`](Self::logit_features) of the audio, `derived`
+    /// holds the target's transcript of every [`derive`](Self::derive)
+    /// slot and `derived_us` the time spent on each. The other
+    /// modalities' features are computed here; each outcome's
+    /// `elapsed_us` adds its slots' time to its feature time. Equals
+    /// [`score_all`](Self::score_all) on the same audio, features bit
+    /// for bit. `None` when a block or a slot is missing.
+    pub fn assemble(
+        &self,
+        asr: &TrainedAsr,
+        wave: &Waveform,
+        target_text: &str,
+        logit_blocks: Vec<ModalityOutcome>,
+        derived: &[String],
+        derived_us: &[u64],
+    ) -> Option<Vec<ModalityOutcome>> {
+        let logits = FeatureMatrix::default();
+        let mut blocks = logit_blocks.into_iter();
+        let mut first = 0;
+        self.entries
+            .iter()
+            .map(|m| {
+                let slots = first..first + m.n_derived();
+                first = slots.end;
+                let mut outcome = if m.reads_logits() {
+                    blocks.next().filter(|b| b.kind == m.kind())?
+                } else {
+                    let derived = derived.get(slots.clone())?;
+                    let evidence = Evidence { asr, wave, target_text, logits: &logits, derived };
+                    Self::timed(m.as_ref(), || m.features(&evidence))
+                };
+                outcome.elapsed_us += derived_us.get(slots).map_or(0, |us| us.iter().sum());
+                Some(outcome)
+            })
+            .collect()
+    }
+
     fn score_one(modality: &dyn Modality, input: &ModalityInput<'_>) -> ModalityOutcome {
+        Self::timed(modality, || modality.score(input).features)
+    }
+
+    /// Runs `features` under the modality's span and wall-clock timer.
+    fn timed(modality: &dyn Modality, features: impl FnOnce() -> Vec<f64>) -> ModalityOutcome {
         let _span = mvp_obs::span!(modality.kind().span_name());
         let started = std::time::Instant::now();
-        let score = modality.score(input);
-        debug_assert_eq!(score.features.len(), modality.feature_dim());
+        let features = features();
+        debug_assert_eq!(features.len(), modality.feature_dim());
         ModalityOutcome {
             kind: modality.kind(),
-            features: score.features,
+            features,
             elapsed_us: started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
         }
     }

@@ -6,10 +6,9 @@
 //! exact input signal and often do not survive them, so the transformed
 //! transcription drifts away from the original one.
 
-use mvp_asr::AsrScratch;
 use mvp_audio::{resample, Waveform};
 
-use crate::{drift_similarity, Modality, ModalityInput, ModalityKind, ModalityScore};
+use crate::{drift_similarity, Evidence, Modality, ModalityKind};
 
 /// An input-purification transform over a [`Waveform`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,21 +135,23 @@ impl Modality for TransformCompare {
         &["sim_quantize", "sim_down_upsample", "sim_low_pass"]
     }
 
-    fn score(&self, input: &ModalityInput<'_>) -> ModalityScore {
-        let transformed: Vec<Waveform> =
-            self.transforms.iter().map(|t| t.apply(input.wave)).collect();
-        let refs: Vec<&Waveform> = transformed.iter().collect();
-        // The scratch plan amortises pipeline buffers across the batch —
-        // the same zero-steady-state-allocation seam the serve workers use.
-        let texts = input.asr.transcribe_batch_with(&refs, &mut AsrScratch::default());
-        let features = texts.iter().map(|text| drift_similarity(input.target_text, text)).collect();
-        ModalityScore { features }
+    fn n_derived(&self) -> usize {
+        self.transforms.len()
+    }
+
+    fn derive(&self, wave: &Waveform, j: usize) -> Waveform {
+        self.transforms[j].apply(wave)
+    }
+
+    fn features(&self, evidence: &Evidence<'_>) -> Vec<f64> {
+        evidence.derived.iter().map(|text| drift_similarity(evidence.target_text, text)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModalityInput;
     use mvp_asr::{Asr, AsrProfile};
     use mvp_audio::synth::{SpeakerProfile, Synthesizer};
     use mvp_phonetics::Lexicon;

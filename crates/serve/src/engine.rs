@@ -8,17 +8,23 @@
 //!                         batcher thread
 //!        whole waveforms: cache hit ⇒ replay its verdict; misses grouped
 //!        into micro-batches (flush on max_batch or max_delay_ms,
-//!        deduped by waveform hash); stream chunks forwarded as they come
+//!        deduped by waveform hash); stream chunks forwarded as they
+//!        come; on a fused engine, each request's derived waveforms
+//!        dealt round-robin as Derived items
 //!                    │                      │
 //!   Open / Finish ───▶ collector    WorkItem ─▶ one persistent worker
-//!                            ▲               per recogniser
+//!                            ▲               per recogniser (any of
+//!                            │               them transcribes a Derived
+//!                            │               item with the target ASR)
 //!                            └── Report ─────┘  (one per request: a
 //!                             │                 final transcript, or a
-//!                             │                 running one per chunk)
+//!                             │                 running one per chunk;
+//!                             │                 one per derived slot)
 //!                         collector thread
 //!        one Request per id: aligns running transcripts by chunk for
 //!        the early-exit rule, waits for final transcripts until each
-//!        recogniser's deadline, then finalize()
+//!        recogniser's deadline and for derived ones until the
+//!        target's, then finalize()
 //!                             │
 //!                       reply channel ──▶ PendingVerdict / StreamHandle
 //! ```
@@ -45,8 +51,18 @@
 //!
 //! Every full verdict is decided by
 //! [`DetectionSystem::detect_from_transcripts`], the rule in-process
-//! detection uses: on an engine serving a fused system with its whole
-//! modality registry, a whole-waveform request passes its audio along
+//! detection uses. On an engine serving a fused system with its whole
+//! modality registry, the modalities' target-ASR work runs on the
+//! workers, next to the recognitions: at flush, the batcher sends each
+//! derived waveform of each whole-waveform request (see
+//! `ModalityRegistry::derive`) as its own item, round-robin over the
+//! dispatched workers starting after the target's, and each worker
+//! transcribes it with the target ASR on its own scratch. The target's
+//! worker transcribes its batch one waveform at a time and reports each
+//! with the blocks of the modalities that read the logits it has just
+//! produced. Derived slots are target-ASR work, so they owe under the
+//! target's deadline; one still missing then fails the request. The
+//! collector only assembles the outcomes (`ModalityRegistry::assemble`)
 //! and the fused classifier answers, bit for bit as
 //! [`DetectionSystem::detect`] would. The cache holds each full
 //! whole-waveform [`Detection`], and a hit replays it without deciding
@@ -74,7 +90,7 @@ use mvp_artifact::{ArtifactError, Persist};
 use mvp_asr::{Asr, AsrProfile, AsrScratch, AsrStream, TrainedAsr};
 use mvp_audio::Waveform;
 use mvp_ears::{Detection, DetectionSystem, DetectionSystemSnapshot, EarlyExit};
-use mvp_modality::{ModalityKind, ModalityOutcome};
+use mvp_modality::{Evidence, ModalityKind, ModalityOutcome};
 use mvp_obs::metrics::Counter;
 use mvp_obs::{AuditLog, JsonObj, Registry};
 
@@ -342,23 +358,34 @@ enum Ingress {
 enum WorkItem {
     /// One micro-batch of whole waveforms, each with its request id.
     Batch { batch_id: u64, requests: Arc<Vec<(u64, Arc<Waveform>)>> },
+    /// Derived waveform `slot` of request `id`'s audio (see
+    /// `ModalityRegistry::derive`), to transcribe with the target ASR.
+    Derived { id: u64, wave: Arc<Waveform>, slot: usize },
     /// The next chunk of stream `id`.
     Chunk { id: u64, samples: Arc<Vec<f32>> },
     /// End of stream `id`: flush it and report the final transcript.
     Finish { id: u64 },
 }
 
-/// One recogniser's transcript of one request.
+/// One recogniser's transcript of one request, or the target's
+/// transcript of one of its derived waveforms.
+#[derive(Default)]
 struct Report {
     id: u64,
     asr_index: usize,
+    /// `Some(slot)` for the target's transcript of derived waveform
+    /// `slot`, whichever worker made it.
+    derived: Option<usize>,
     text: String,
     /// `Some((seq, frames))` for a running transcript after stream chunk
     /// `seq` with `frames` logit frames decoded; `None` for the final one.
     running: Option<(u64, usize)>,
-    /// Wall time the worker spent transcribing this request (the whole
-    /// batch for a batched waveform); set on final reports.
+    /// Wall time the worker spent transcribing this request (its batch so
+    /// far for a batched waveform); set on final and derived reports.
     elapsed_us: u64,
+    /// On the target's final report of a fused request: the blocks of
+    /// every modality that reads the target's logits.
+    blocks: Vec<ModalityOutcome>,
 }
 
 enum CollectorMsg {
@@ -428,6 +455,15 @@ struct Request {
     texts: Vec<Option<String>>,
     /// Per recogniser: wall time spent transcribing, for audit records.
     transcribe_us: Vec<Option<u64>>,
+    /// A fused request's derived transcripts, one slot per derived
+    /// waveform of the modality registry, once reported; empty
+    /// otherwise. They are target-ASR work, so they owe under the
+    /// target's deadline.
+    derived: Vec<Option<String>>,
+    /// Per derived slot: worker time spent on it.
+    derived_us: Vec<u64>,
+    /// The logit-reading modality blocks from the target's report.
+    blocks: Vec<ModalityOutcome>,
     /// The verdict was replayed from the cache.
     from_cache: bool,
     running: RunningBuffer,
@@ -436,7 +472,13 @@ struct Request {
 impl Request {
     /// A whole-waveform request is finished on arrival, so its deadlines
     /// count from its submit; a stream finishes at its handle's finish.
-    fn new(waiter: Waiter, audio: Option<(u64, Arc<Waveform>)>, n_rec: usize) -> Request {
+    /// `n_derived` is the number of derived transcripts it owes.
+    fn new(
+        waiter: Waiter,
+        audio: Option<(u64, Arc<Waveform>)>,
+        n_rec: usize,
+        n_derived: usize,
+    ) -> Request {
         Request {
             id: waiter.id,
             finished: audio.is_some().then_some(waiter.submitted),
@@ -445,24 +487,30 @@ impl Request {
             batch: None,
             texts: vec![None; n_rec],
             transcribe_us: vec![None; n_rec],
+            derived: vec![None; n_derived],
+            derived_us: vec![0; n_derived],
+            blocks: Vec::new(),
             from_cache: false,
             running: RunningBuffer::default(),
         }
     }
 
-    /// When each dispatched recogniser still owing a final transcript
-    /// runs out of time; `None` until finish starts the clock.
+    /// When each dispatched recogniser still owing a final transcript,
+    /// and each derived slot still owed, runs out of time; `None` until
+    /// finish starts the clock.
     fn deadlines<'a>(
         &'a self,
         waits: &'a [Option<Duration>],
     ) -> Option<impl Iterator<Item = Instant> + 'a> {
         let at = self.finished?;
         let owed = waits.iter().zip(&self.texts).filter(|(_, text)| text.is_none());
-        Some(owed.filter_map(move |(wait, _)| wait.map(|w| at + w)))
+        let target = waits.first().into_iter().cycle();
+        let slots = target.zip(self.derived.iter().filter(|text| text.is_none()));
+        Some(owed.chain(slots).filter_map(move |(wait, _)| wait.map(|w| at + w)))
     }
 
-    /// Ready to finalize: finished, and every dispatched recogniser has
-    /// reported or run out of time.
+    /// Ready to finalize: finished, and every dispatched recogniser and
+    /// derived slot has reported or run out of time.
     fn is_ready(&self, now: Instant, waits: &[Option<Duration>]) -> bool {
         self.deadlines(waits).is_some_and(|mut owed| owed.all(|at| now >= at))
     }
@@ -470,13 +518,25 @@ impl Request {
     /// Takes one recogniser's report: a final transcript is kept for
     /// finalize; a running one feeds the early-exit rule.
     fn record(&mut self, shared: &Shared, report: Report) {
-        let Report { asr_index, text, running, elapsed_us, .. } = report;
+        let Report { asr_index, derived, text, running, elapsed_us, blocks, .. } = report;
+        if let Some(slot) = derived {
+            if let (Some(text_slot), Some(us)) =
+                (self.derived.get_mut(slot), self.derived_us.get_mut(slot))
+            {
+                *text_slot = Some(text);
+                *us = elapsed_us;
+            }
+            return;
+        }
         let Some((seq, frames)) = running else {
             if let Some(slot) = self.texts.get_mut(asr_index) {
                 *slot = Some(text);
             }
             if let Some(slot) = self.transcribe_us.get_mut(asr_index) {
                 *slot = Some(elapsed_us);
+            }
+            if asr_index == 0 {
+                self.blocks = blocks;
             }
             return;
         };
@@ -533,8 +593,10 @@ impl SharedCache {
 struct Shared {
     system: Arc<DetectionSystem>,
     policy: DegradePolicy,
-    /// Whole-waveform requests pass their audio to the fused classifier
-    /// ([`EngineConfig::modalities`] names the whole registry).
+    /// Whole-waveform requests get fused verdicts
+    /// ([`EngineConfig::modalities`] names the whole registry): the
+    /// workers transcribe their derived waveforms and the target's
+    /// computes the logit blocks.
     fused: bool,
     /// The early-exit rule, when armed.
     early_exit: Option<EarlyExit>,
@@ -746,7 +808,8 @@ impl DetectionEngine {
             let (tx, rx) = channel::bounded::<WorkItem>((config.queue_cap * 4).max(64));
             worker_txs.push(tx);
             let out = collector_tx.clone();
-            let body = move || worker_loop(asr, i, running_from, rx, out);
+            let (system, logit_blocks) = (Arc::clone(&system), fused && i == 0);
+            let body = move || worker_loop(system, asr, i, logit_blocks, running_from, rx, out);
             threads.push(spawn(format!("serve-worker-{i}"), Box::new(body)));
         }
         let (batcher_shared, max_batch) = (Arc::clone(&shared), config.max_batch);
@@ -996,10 +1059,15 @@ impl Drop for StreamHandle<'_> {
 
 /// One recogniser's worker. With `running_from` set (the early-exit
 /// rule's `min_frames`), it reports a running transcript after every
-/// stream chunk.
+/// stream chunk. Every worker also transcribes derived waveforms with
+/// the system's target ASR. With `logit_blocks` set (the target's worker
+/// on a fused engine), it transcribes a batch one waveform at a time and
+/// reports each with the blocks of the modalities that read its logits.
 fn worker_loop(
+    system: Arc<DetectionSystem>,
     asr: Arc<TrainedAsr>,
     asr_index: usize,
+    logit_blocks: bool,
     running_from: Option<usize>,
     work: Receiver<WorkItem>,
     out: Sender<CollectorMsg>,
@@ -1012,12 +1080,40 @@ fn worker_loop(
     // align running transcripts across recognisers) and the time spent.
     let mut scratch = AsrScratch::default();
     let mut streams: HashMap<u64, (AsrStream, u64, Duration)> = HashMap::new();
-    let send = |id, text, running, elapsed_us| {
-        out.send(CollectorMsg::Report(Report { id, asr_index, text, running, elapsed_us })).is_ok()
-    };
+    let send = |report| out.send(CollectorMsg::Report(report)).is_ok();
+    let (target, modalities) = (system.target(), system.modalities());
     for item in work.iter() {
         let started = Instant::now();
         let alive = match item {
+            WorkItem::Batch { batch_id, requests } if logit_blocks => {
+                let mut transcribe = Duration::ZERO;
+                requests.iter().all(|(id, wave)| {
+                    let at = Instant::now();
+                    let text = {
+                        let _span = mvp_obs::span!("serve.transcribe_batch", batch_id);
+                        let texts = asr.transcribe_batch_with(&[wave], &mut scratch);
+                        texts.into_iter().next().unwrap_or_default()
+                    };
+                    transcribe += at.elapsed();
+                    let evidence = Evidence {
+                        asr: target,
+                        wave,
+                        target_text: &text,
+                        logits: scratch.logits(),
+                        derived: &[],
+                    };
+                    let blocks = modalities.logit_features(&evidence);
+                    let elapsed_us = micros(transcribe);
+                    send(Report {
+                        id: *id,
+                        asr_index,
+                        text,
+                        elapsed_us,
+                        blocks,
+                        ..Report::default()
+                    })
+                })
+            }
             WorkItem::Batch { batch_id, requests } => {
                 let texts = {
                     let _span = mvp_obs::span!("serve.transcribe_batch", batch_id);
@@ -1025,7 +1121,25 @@ fn worker_loop(
                     asr.transcribe_batch_with(&refs, &mut scratch)
                 };
                 let elapsed_us = micros(started.elapsed());
-                requests.iter().zip(texts).all(|(&(id, _), text)| send(id, text, None, elapsed_us))
+                requests.iter().zip(texts).all(|(&(id, _), text)| {
+                    send(Report { id, asr_index, text, elapsed_us, ..Report::default() })
+                })
+            }
+            WorkItem::Derived { id, wave, slot } => {
+                // A slot past the registry's is never dispatched; were it,
+                // the request would fail at the target's deadline.
+                let Some(derived) = modalities.derive(&wave, slot) else { continue };
+                let texts = target.transcribe_batch_with(&[&derived], &mut scratch);
+                let text = texts.into_iter().next().unwrap_or_default();
+                let elapsed_us = micros(started.elapsed());
+                send(Report {
+                    id,
+                    asr_index,
+                    derived: Some(slot),
+                    text,
+                    elapsed_us,
+                    ..Report::default()
+                })
             }
             WorkItem::Chunk { id, samples } => {
                 let (stream, seq, busy) = streams.entry(id).or_default();
@@ -1043,12 +1157,16 @@ fn worker_loop(
                     (text, frames)
                 });
                 *busy += started.elapsed();
-                running.is_none_or(|(text, frames)| send(id, text, Some((*seq, frames)), 0))
+                running.is_none_or(|(text, frames)| {
+                    let running = Some((*seq, frames));
+                    send(Report { id, asr_index, text, running, ..Report::default() })
+                })
             }
             WorkItem::Finish { id } => {
                 let (mut stream, _, busy) = streams.remove(&id).unwrap_or_default();
                 let text = asr.stream_finish(&mut stream);
-                send(id, text, None, micros(busy + started.elapsed()))
+                let elapsed_us = micros(busy + started.elapsed());
+                send(Report { id, asr_index, text, elapsed_us, ..Report::default() })
             }
         };
         if !alive {
@@ -1076,6 +1194,7 @@ fn batcher_loop(
     collector: Sender<CollectorMsg>,
 ) {
     let n_rec = workers.len();
+    let n_derived = if shared.fused { shared.system.modalities().n_derived() } else { 0 };
     let dispatched =
         || workers.iter().zip(&shared.waits).filter(|(_, w)| w.is_some()).map(|(tx, _)| tx);
     let mut next_batch_id = 0u64;
@@ -1121,6 +1240,17 @@ fn batcher_loop(
         for tx in dispatched() {
             let _ = tx.send(WorkItem::Batch { batch_id, requests: Arc::clone(&work) });
         }
+        // Derived waveforms wait for no transcript: they go round-robin
+        // over the dispatched workers, starting after the target's, which
+        // also computes the logit blocks.
+        let mut next_worker = dispatched().cycle().skip(1);
+        for (id, wave) in work.iter() {
+            for slot in 0..n_derived {
+                if let Some(tx) = next_worker.next() {
+                    let _ = tx.send(WorkItem::Derived { id: *id, wave: Arc::clone(wave), slot });
+                }
+            }
+        }
     };
 
     loop {
@@ -1132,7 +1262,7 @@ fn batcher_loop(
             Ok(Ingress::Whole { mut waiter, wave, key }) => {
                 shared.stats.queue_depth.dec();
                 waiter.queued_us = micros(waiter.submitted.elapsed());
-                let mut request = Request::new(waiter, Some((key, wave)), n_rec);
+                let mut request = Request::new(waiter, Some((key, wave)), n_rec, n_derived);
                 if let Some(hit) = lookup(&shared, key) {
                     let _span = mvp_obs::span!("serve.cache_hit", request.id);
                     request.from_cache = true;
@@ -1151,7 +1281,8 @@ fn batcher_loop(
             // chunk is one unit of work for every recogniser, and order
             // within a stream is preserved by channel FIFO end to end.
             Ok(Ingress::Open(waiter)) => {
-                if collector.send(CollectorMsg::Open(Request::new(waiter, None, n_rec))).is_err() {
+                let request = Request::new(waiter, None, n_rec, 0);
+                if collector.send(CollectorMsg::Open(request)).is_err() {
                     return;
                 }
             }
@@ -1229,15 +1360,17 @@ fn collector_loop(shared: Arc<Shared>, rx: Receiver<CollectorMsg>) {
 }
 
 /// Decides a request from its final transcripts: `Failed` without the
-/// target; `Degraded` by the policy when an auxiliary is missing;
-/// otherwise the full detection, fused for whole-waveform requests on a
-/// fused engine. Also returns the threshold of a `MeanThreshold` verdict,
-/// which makes it reconstructible from the audit record alone.
+/// target or one of its derived transcripts; `Degraded` by the policy
+/// when an auxiliary is missing; otherwise the full detection, fused for
+/// whole-waveform requests on a fused engine. Also returns the threshold
+/// of a `MeanThreshold` verdict, which makes it reconstructible from the
+/// audit record alone.
 fn decide(shared: &Shared, request: &mut Request) -> (Verdict, Option<f64>) {
     let system = &shared.system;
     let mut texts = std::mem::take(&mut request.texts).into_iter();
     let n_aux = texts.len().saturating_sub(1);
-    let Some(Some(target)) = texts.next() else {
+    let derived: Option<Vec<String>> = std::mem::take(&mut request.derived).into_iter().collect();
+    let (Some(Some(target)), Some(derived)) = (texts.next(), derived) else {
         return (Verdict::failed(n_aux), None);
     };
     let aux: Vec<Option<String>> = texts.collect();
@@ -1253,8 +1386,25 @@ fn decide(shared: &Shared, request: &mut Request) -> (Verdict, Option<f64>) {
         return (Verdict::degraded(tier, is_adversarial, scores, target), threshold);
     }
     let aux: Vec<String> = aux.into_iter().flatten().collect();
-    let wave = request.audio.as_ref().filter(|_| shared.fused).map(|(_, wave)| wave.as_ref());
-    let detection = system.detect_from_transcripts(target, aux, wave);
+    let modalities = match &request.audio {
+        Some((_, wave)) if shared.fused => {
+            let blocks = std::mem::take(&mut request.blocks);
+            let assembled = system.modalities().assemble(
+                system.target(),
+                wave,
+                &target,
+                blocks,
+                &derived,
+                &request.derived_us,
+            );
+            let Some(outcomes) = assembled else {
+                return (Verdict::failed(n_aux), None);
+            };
+            Some(outcomes)
+        }
+        _ => None,
+    };
+    let detection = system.detect_from_transcripts(target, aux, modalities);
     shared.stats.modality_scored.add(detection.modalities.len() as u64);
     if let (Some((key, _)), Some(cache)) = (&request.audio, &shared.cache) {
         cache.with(|c| c.insert(*key, Arc::new(detection.clone())));
@@ -1394,6 +1544,37 @@ mod tests {
             assert_eq!(texts, &want, "chunk {s} evaluated on its own transcripts");
         }
         assert!(buffer.chunks.is_empty(), "complete chunks are released");
+    }
+
+    #[test]
+    fn missing_derived_slot_waits_for_the_target_deadline_then_fails() {
+        let system = DetectionSystem::builder(AsrProfile::Ds0).auxiliary(AsrProfile::Ds1).build();
+        let shared = Shared {
+            system: Arc::new(system),
+            policy: DegradePolicy::untrained(1),
+            fused: true,
+            early_exit: None,
+            // The auxiliary's deadline runs out first: only the target's
+            // applies to derived slots.
+            waits: vec![Some(Duration::from_millis(100)), Some(Duration::from_millis(10))],
+            cache: None,
+            stats: Arc::new(ServeStats::new()),
+            audit: None,
+        };
+        let (reply, _rx) = channel::bounded(1);
+        let waiter = Waiter { id: 0, reply, submitted: Instant::now(), queued_us: 0 };
+        let audio = (0, Arc::new(Waveform::from_samples(vec![0.1; 160], 16_000)));
+        let mut request = Request::new(waiter, Some(audio), 2, 2);
+        let submitted = request.finished.unwrap();
+        request.texts = vec![Some("open the door".into()), Some("open the door".into())];
+        request.derived[0] = Some("open the door".into());
+
+        assert!(!request.is_ready(submitted + Duration::from_millis(50), &shared.waits));
+        assert!(!request.is_ready(submitted + Duration::from_millis(99), &shared.waits));
+        assert!(request.is_ready(submitted + Duration::from_millis(100), &shared.waits));
+        let (verdict, _) = decide(&shared, &mut request);
+        assert_eq!(verdict.kind, VerdictKind::Failed);
+        assert_eq!(verdict.is_adversarial, None);
     }
 
     #[test]

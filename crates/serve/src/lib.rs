@@ -35,8 +35,9 @@
 //! - **one decision rule** — every full verdict comes from
 //!   [`DetectionSystem::detect_from_transcripts`](mvp_ears::DetectionSystem::detect_from_transcripts),
 //!   fused for whole-waveform requests when [`EngineConfig::modalities`]
-//!   names a fused system's whole registry, so served verdicts equal
-//!   in-process ones bit for bit.
+//!   names a fused system's whole registry (the modalities' derived
+//!   transcriptions and logit blocks then run on the workers), so
+//!   served verdicts equal in-process ones bit for bit.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -1,6 +1,7 @@
 //! End-to-end engine tests for fused serving: fused verdicts equal to
-//! in-process detection when the engine names the whole registry,
-//! similarity-only verdicts without it, and config validation.
+//! in-process detection when the engine names the whole registry (empty
+//! and silent audio included), similarity-only verdicts without it, and
+//! config validation.
 
 use std::sync::Arc;
 
@@ -91,6 +92,28 @@ fn full_modality_mix_produces_fused_verdicts() {
     let snap = engine.stats();
     assert_eq!(snap.fused_verdicts, 2);
     assert_eq!(snap.modality_scored, ModalityKind::ALL.len() as u64);
+    engine.shutdown();
+}
+
+#[test]
+fn empty_and_silent_audio_get_one_fused_verdict_each() {
+    let system = fused_system(&ModalityKind::ALL);
+    let policy = DegradePolicy::untrained(system.n_auxiliaries());
+    let config = EngineConfig { modalities: ModalityKind::ALL.to_vec(), ..EngineConfig::default() };
+    let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
+    let empty = mvp_audio::Waveform::from_samples(Vec::new(), 16_000);
+    let silent = mvp_audio::Waveform::from_samples(vec![0.0; 16_000], 16_000);
+    for wave in [empty, silent] {
+        let verdict = engine.submit(wave.clone()).unwrap().wait();
+        assert_eq!(verdict.kind, VerdictKind::Full);
+        assert!(verdict.fused);
+        assert_matches_detect(&verdict, &system, &wave);
+    }
+    // The engine survives both and serves the next request as usual.
+    let verdict = engine.submit(speech()).unwrap().wait();
+    assert_eq!(verdict.kind, VerdictKind::Full);
+    assert_matches_detect(&verdict, &system, &speech());
+    assert_eq!(engine.stats().completed, 3, "exactly one verdict per request");
     engine.shutdown();
 }
 
