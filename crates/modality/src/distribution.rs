@@ -12,6 +12,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use mvp_asr::am::{softmax_into, N_CLASSES};
+use mvp_audio::Waveform;
 use mvp_dsp::Mat;
 
 use crate::{drift_similarity, Evidence, Modality, ModalityKind};
@@ -70,6 +71,15 @@ impl Modality for DistributionFeatures {
 
     fn feature_names(&self) -> &'static [&'static str] {
         &["negentropy", "max_prob", "margin", "noise_stability"]
+    }
+
+    fn n_derived(&self) -> usize {
+        0
+    }
+
+    /// The features read the target's logits, not derived audio.
+    fn derive(&self, _wave: &Waveform, _j: usize) -> Option<Waveform> {
+        None
     }
 
     fn reads_logits(&self) -> bool {

@@ -74,13 +74,16 @@ impl Modality for VariantInstability {
     /// Variant `j`: seeded white noise mixed in at the configured SNR.
     /// Silent audio (empty included) has no SNR to set: its variants are
     /// empty, and its features neutral.
-    fn derive(&self, wave: &Waveform, j: usize) -> Waveform {
+    fn derive(&self, wave: &Waveform, j: usize) -> Option<Waveform> {
+        if j >= self.n_variants {
+            return None;
+        }
         if !has_signal(wave) {
-            return Waveform::from_samples(Vec::new(), wave.sample_rate());
+            return Some(Waveform::from_samples(Vec::new(), wave.sample_rate()));
         }
         let n = wave.samples().len();
         let noise = NoiseKind::White.generate(n, wave.sample_rate(), self.seed + j as u64);
-        mix_at_snr(wave, &noise, self.snr_db)
+        Some(mix_at_snr(wave, &noise, self.snr_db))
     }
 
     fn features(&self, evidence: &Evidence<'_>) -> Vec<f64> {

@@ -200,15 +200,10 @@ pub trait Modality: Send + Sync {
     fn feature_names(&self) -> &'static [&'static str];
     /// How many derived waveforms the features read a target
     /// transcription of.
-    fn n_derived(&self) -> usize {
-        0
-    }
-    /// Builds derived waveform `j` (`j < n_derived()`) of `wave`, and
-    /// only that one. A modality that derives nothing is never asked;
-    /// the default returns `wave` unchanged.
-    fn derive(&self, wave: &Waveform, _j: usize) -> Waveform {
-        wave.clone()
-    }
+    fn n_derived(&self) -> usize;
+    /// Builds derived waveform `j` of `wave`, and only that one; `None`
+    /// from [`n_derived`](Self::n_derived) on.
+    fn derive(&self, wave: &Waveform, j: usize) -> Option<Waveform>;
     /// Whether the features read [`Evidence::logits`]. A modality that
     /// does derives no waveforms: serving layers compute its features
     /// next to the target's recognition, before any derived transcript
@@ -226,7 +221,7 @@ pub trait Modality: Send + Sync {
     /// features.
     fn score(&self, input: &ModalityInput<'_>) -> ModalityScore {
         let derived: Vec<Waveform> =
-            (0..self.n_derived()).map(|j| self.derive(input.wave, j)).collect();
+            (0..self.n_derived()).map_while(|j| self.derive(input.wave, j)).collect();
         let refs: Vec<&Waveform> = derived.iter().collect();
         let derived = input.asr.transcribe_batch_with(&refs, &mut AsrScratch::default());
         let logits = if self.reads_logits() {
@@ -369,7 +364,7 @@ impl ModalityRegistry {
         for modality in &self.entries {
             let n = modality.n_derived();
             if slot < first + n {
-                return Some(modality.derive(wave, slot - first));
+                return modality.derive(wave, slot - first);
             }
             first += n;
         }

@@ -139,8 +139,8 @@ impl Modality for TransformCompare {
         self.transforms.len()
     }
 
-    fn derive(&self, wave: &Waveform, j: usize) -> Waveform {
-        self.transforms[j].apply(wave)
+    fn derive(&self, wave: &Waveform, j: usize) -> Option<Waveform> {
+        self.transforms.get(j).map(|t| t.apply(wave))
     }
 
     fn features(&self, evidence: &Evidence<'_>) -> Vec<f64> {

@@ -40,7 +40,10 @@ fn split_features(
     let target = asr.transcribe_batch_with(&[wave], scratch).remove(0);
     let logits = scratch.logits().clone();
     let derived: Vec<String> = (0..modality.n_derived())
-        .map(|j| asr.transcribe_batch_with(&[&modality.derive(wave, j)], scratch).remove(0))
+        .map(|j| {
+            let derived = modality.derive(wave, j).expect("j < n_derived");
+            asr.transcribe_batch_with(&[&derived], scratch).remove(0)
+        })
         .collect();
     modality.features(&Evidence {
         asr,

@@ -56,11 +56,13 @@
 //! workers, next to the recognitions: at flush, the batcher sends each
 //! derived waveform of each whole-waveform request (see
 //! `ModalityRegistry::derive`) as its own item, round-robin over the
-//! dispatched workers starting after the target's, and each worker
-//! transcribes it with the target ASR on its own scratch. The target's
-//! worker transcribes its batch one waveform at a time and reports each
-//! with the blocks of the modalities that read the logits it has just
-//! produced. Derived slots are target-ASR work, so they owe under the
+//! workers whose deadline is the target's, starting after the target's,
+//! and each worker transcribes it with the target ASR on its own
+//! scratch; a worker with a shorter deadline takes none, so its own
+//! recognitions never queue behind them. Every worker transcribes a
+//! batch one waveform at a time and reports each at once; the target's
+//! report carries the blocks of the modalities that read the logits it
+//! has just produced. Derived slots are target-ASR work, so they owe under the
 //! target's deadline; one still missing then fails the request. The
 //! collector only assembles the outcomes (`ModalityRegistry::assemble`)
 //! and the fused classifier answers, bit for bit as
@@ -380,8 +382,9 @@ struct Report {
     /// `Some((seq, frames))` for a running transcript after stream chunk
     /// `seq` with `frames` logit frames decoded; `None` for the final one.
     running: Option<(u64, usize)>,
-    /// Wall time the worker spent transcribing this request (its batch so
-    /// far for a batched waveform); set on final and derived reports.
+    /// Wall time the worker spent transcribing: for a batched waveform,
+    /// its batch up to and including it; for a stream, all its audio; for
+    /// a derived slot, that slot. Set on final and derived reports.
     elapsed_us: u64,
     /// On the target's final report of a fused request: the blocks of
     /// every modality that reads the target's logits.
@@ -1060,9 +1063,10 @@ impl Drop for StreamHandle<'_> {
 /// One recogniser's worker. With `running_from` set (the early-exit
 /// rule's `min_frames`), it reports a running transcript after every
 /// stream chunk. Every worker also transcribes derived waveforms with
-/// the system's target ASR. With `logit_blocks` set (the target's worker
-/// on a fused engine), it transcribes a batch one waveform at a time and
-/// reports each with the blocks of the modalities that read its logits.
+/// the system's target ASR. It transcribes a batch one waveform at a
+/// time and reports each at once; with `logit_blocks` set (the target's
+/// worker on a fused engine), each report also carries the blocks of the
+/// modalities that read the logits just produced.
 fn worker_loop(
     system: Arc<DetectionSystem>,
     asr: Arc<TrainedAsr>,
@@ -1085,24 +1089,29 @@ fn worker_loop(
     for item in work.iter() {
         let started = Instant::now();
         let alive = match item {
-            WorkItem::Batch { batch_id, requests } if logit_blocks => {
+            WorkItem::Batch { batch_id, requests } => {
+                // One waveform at a time, each reported as soon as it is
+                // transcribed; `elapsed_us` is the batch's transcription
+                // time so far, so its last report holds the whole batch.
                 let mut transcribe = Duration::ZERO;
                 requests.iter().all(|(id, wave)| {
                     let at = Instant::now();
                     let text = {
                         let _span = mvp_obs::span!("serve.transcribe_batch", batch_id);
-                        let texts = asr.transcribe_batch_with(&[wave], &mut scratch);
-                        texts.into_iter().next().unwrap_or_default()
+                        asr.transcribe_batch_with(&[wave], &mut scratch).pop().unwrap_or_default()
                     };
                     transcribe += at.elapsed();
-                    let evidence = Evidence {
-                        asr: target,
-                        wave,
-                        target_text: &text,
-                        logits: scratch.logits(),
-                        derived: &[],
+                    let blocks = if logit_blocks {
+                        modalities.logit_features(&Evidence {
+                            asr: target,
+                            wave,
+                            target_text: &text,
+                            logits: scratch.logits(),
+                            derived: &[],
+                        })
+                    } else {
+                        Vec::new()
                     };
-                    let blocks = modalities.logit_features(&evidence);
                     let elapsed_us = micros(transcribe);
                     send(Report {
                         id: *id,
@@ -1112,17 +1121,6 @@ fn worker_loop(
                         blocks,
                         ..Report::default()
                     })
-                })
-            }
-            WorkItem::Batch { batch_id, requests } => {
-                let texts = {
-                    let _span = mvp_obs::span!("serve.transcribe_batch", batch_id);
-                    let refs: Vec<&Waveform> = requests.iter().map(|(_, w)| w.as_ref()).collect();
-                    asr.transcribe_batch_with(&refs, &mut scratch)
-                };
-                let elapsed_us = micros(started.elapsed());
-                requests.iter().zip(texts).all(|(&(id, _), text)| {
-                    send(Report { id, asr_index, text, elapsed_us, ..Report::default() })
                 })
             }
             WorkItem::Derived { id, wave, slot } => {
@@ -1185,6 +1183,15 @@ fn lookup(shared: &Shared, key: u64) -> Option<Arc<Detection>> {
     hit
 }
 
+/// The workers that transcribe derived waveforms, by index, target
+/// first: those whose wait equals the target's. Each derived item costs
+/// a target transcription, so a worker with a shorter deadline would see
+/// its own recognitions queue behind them and miss it.
+fn derived_workers(waits: &[Option<Duration>]) -> Vec<usize> {
+    let target = waits.first().copied().flatten();
+    waits.iter().enumerate().filter(|(_, w)| w.is_some() && **w == target).map(|(i, _)| i).collect()
+}
+
 fn batcher_loop(
     shared: Arc<Shared>,
     max_batch: usize,
@@ -1197,6 +1204,8 @@ fn batcher_loop(
     let n_derived = if shared.fused { shared.system.modalities().n_derived() } else { 0 };
     let dispatched =
         || workers.iter().zip(&shared.waits).filter(|(_, w)| w.is_some()).map(|(tx, _)| tx);
+    let derived_to: Vec<&Sender<WorkItem>> =
+        derived_workers(&shared.waits).into_iter().filter_map(|i| workers.get(i)).collect();
     let mut next_batch_id = 0u64;
     let mut pending: Vec<Request> = Vec::new();
     let mut flush_at: Option<Instant> = None;
@@ -1241,9 +1250,9 @@ fn batcher_loop(
             let _ = tx.send(WorkItem::Batch { batch_id, requests: Arc::clone(&work) });
         }
         // Derived waveforms wait for no transcript: they go round-robin
-        // over the dispatched workers, starting after the target's, which
-        // also computes the logit blocks.
-        let mut next_worker = dispatched().cycle().skip(1);
+        // over the workers that share the target's deadline, starting
+        // after the target's, which also computes the logit blocks.
+        let mut next_worker = derived_to.iter().cycle().skip(1);
         for (id, wave) in work.iter() {
             for slot in 0..n_derived {
                 if let Some(tx) = next_worker.next() {
@@ -1575,6 +1584,15 @@ mod tests {
         let (verdict, _) = decide(&shared, &mut request);
         assert_eq!(verdict.kind, VerdictKind::Failed);
         assert_eq!(verdict.is_adversarial, None);
+    }
+
+    #[test]
+    fn derived_items_go_only_to_workers_sharing_the_target_deadline() {
+        let ms = |ms| Some(Duration::from_millis(ms));
+        // A shorter auxiliary deadline or a disabled auxiliary takes none.
+        assert_eq!(derived_workers(&[ms(100), ms(100), ms(10), None, ms(100)]), [0, 1, 4]);
+        // With no auxiliary sharing it, the target's worker takes them all.
+        assert_eq!(derived_workers(&[ms(100), ms(10), None]), [0]);
     }
 
     #[test]

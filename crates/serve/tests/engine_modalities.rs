@@ -1,7 +1,8 @@
 //! End-to-end engine tests for fused serving: fused verdicts equal to
 //! in-process detection when the engine names the whole registry (empty
-//! and silent audio included), similarity-only verdicts without it, and
-//! config validation.
+//! and silent audio included, and with derived work left to the target
+//! when an auxiliary's deadline is shorter), similarity-only verdicts
+//! without it, and config validation.
 
 use std::sync::Arc;
 
@@ -114,6 +115,29 @@ fn empty_and_silent_audio_get_one_fused_verdict_each() {
     assert_eq!(verdict.kind, VerdictKind::Full);
     assert_matches_detect(&verdict, &system, &speech());
     assert_eq!(engine.stats().completed, 3, "exactly one verdict per request");
+    engine.shutdown();
+}
+
+#[test]
+fn shorter_auxiliary_deadline_leaves_derived_work_to_the_target() {
+    let system = fused_system(&ModalityKind::ALL);
+    let policy = DegradePolicy::untrained(system.n_auxiliaries());
+    // The auxiliary's deadline is shorter than the target's, so the
+    // target's worker transcribes every derived waveform itself.
+    let config = EngineConfig {
+        modalities: ModalityKind::ALL.to_vec(),
+        deadline_ms: 60_000,
+        aux_deadline_ms: vec![Some(59_999)],
+        ..EngineConfig::default()
+    };
+    let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
+    let synth = Synthesizer::new(16_000);
+    for text in ["open the door", "the man walked the street"] {
+        let (wave, _) = synth.synthesize(&Lexicon::builtin(), text, &SpeakerProfile::default());
+        let verdict = engine.submit(wave.clone()).unwrap().wait();
+        assert_eq!(verdict.kind, VerdictKind::Full, "{text}");
+        assert_matches_detect(&verdict, &system, &wave);
+    }
     engine.shutdown();
 }
 
