@@ -12,7 +12,7 @@ use mvp_dsp::mfcc::FeatureMatrix;
 use mvp_phonetics::{Lexicon, Phoneme};
 
 use crate::ctc::{greedy_phonemes, RunAccumulator};
-use crate::lm::BigramLm;
+use crate::lm::{BigramLm, Token};
 
 /// Decoder tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +37,8 @@ impl Default for DecoderConfig {
 #[derive(Debug, Clone)]
 pub struct Decoder {
     vocab: Vec<(String, Vec<Phoneme>)>,
+    /// Each vocab word's token in `lm`, resolved once.
+    tokens: Vec<Token>,
     lm: BigramLm,
     cfg: DecoderConfig,
 }
@@ -53,7 +55,8 @@ impl Decoder {
             lexicon.words().map(|w| (w.to_string(), lexicon.pronounce(w))).collect();
         assert!(!vocab.is_empty(), "decoder needs a non-empty lexicon");
         vocab.sort(); // deterministic candidate ordering
-        Decoder { vocab, lm, cfg }
+        let tokens = vocab.iter().map(|(word, _)| lm.token(word)).collect();
+        Decoder { vocab, tokens, lm, cfg }
     }
 
     /// The language model scoring word transitions.
@@ -86,8 +89,10 @@ impl Decoder {
     /// byte-identical to this on the sequence it has seen.
     pub fn decode_phonemes(&self, seq: &[Phoneme]) -> String {
         let mut lattice = Lattice::default();
+        let mut rows = EditRows::default();
         for chunk in seq.split(|&p| p == Phoneme::SIL).filter(|c| !c.is_empty()) {
-            let (col, score) = self.viterbi_step(&lattice, self.chunk_candidates(chunk));
+            let cands = self.chunk_candidates(chunk, &mut rows);
+            let (col, score) = self.viterbi_step(&lattice, cands);
             lattice.push(col, score);
         }
         self.best_path(&lattice, None)
@@ -155,11 +160,13 @@ impl Decoder {
     /// edit-distance rows: the list `chunk_candidates` computes from the
     /// phonemes.
     fn open_candidates(&self, dist: &[usize], len: usize) -> Vec<(usize, f64)> {
+        let mut top = TopK::new(self.cfg.top_k, self.vocab.len());
         let mut end = 0;
-        self.top_k(self.vocab.iter().enumerate().map(|(i, (_, pron))| {
+        for (i, (_, pron)) in self.vocab.iter().enumerate() {
             end += pron.len() + 1;
-            (i, normalised(dist[end - 1], len, pron.len()))
-        }))
+            top.offer(i, normalised(dist[end - 1], len, pron.len()));
+        }
+        top.best
     }
 
     /// One Viterbi step from the last column of `lattice` into a word chunk
@@ -171,10 +178,11 @@ impl Decoder {
         let mut back = Vec::with_capacity(cands.len());
         let mut score = Vec::with_capacity(cands.len());
         for &(w, edit) in &cands {
-            let word = &self.vocab[w].0;
+            let word = self.tokens[w];
             let Some(prev) = prev else {
                 score.push(
-                    self.cfg.edit_weight * edit - self.cfg.lm_weight * self.lm.log_prob(None, word),
+                    self.cfg.edit_weight * edit
+                        - self.cfg.lm_weight * self.lm.log_prob_token(Token::BOS, word),
                 );
                 back.push(0);
                 continue;
@@ -187,7 +195,7 @@ impl Decoder {
                 .zip(&lattice.score)
                 .enumerate()
                 .map(|(pi, (&(pw, _), &s))| {
-                    (pi, s - self.cfg.lm_weight * self.lm.log_prob(Some(&self.vocab[pw].0), word))
+                    (pi, s - self.cfg.lm_weight * self.lm.log_prob_token(self.tokens[pw], word))
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap_or((0, f64::INFINITY));
@@ -216,20 +224,95 @@ impl Decoder {
     }
 
     /// Top-k `(vocab index, normalised edit distance)` candidates for a
-    /// chunk of phonemes.
-    fn chunk_candidates(&self, chunk: &[Phoneme]) -> Vec<(usize, f64)> {
-        self.top_k(self.vocab.iter().enumerate().map(|(i, (_, pron))| {
-            (i, normalised(phoneme_edit_distance(chunk, pron), chunk.len(), pron.len()))
-        }))
+    /// (non-empty) chunk of phonemes, in `(distance, index)` order, with
+    /// the DP rows in `rows`.
+    ///
+    /// Once k candidates are held, a word is skipped when its length
+    /// difference, a lower bound on its distance, already reaches the
+    /// k-th best, and its DP is abandoned when a row minimum does: the
+    /// minimum of a Levenshtein row never falls from one row to the next,
+    /// and both bounds are normalised as the distance is, which keeps
+    /// their order. A word that only ties the k-th best ranks after it
+    /// (words come in index order), so neither prune drops a candidate.
+    fn chunk_candidates(&self, chunk: &[Phoneme], rows: &mut EditRows) -> Vec<(usize, f64)> {
+        let a = chunk.len();
+        let mut top = TopK::new(self.cfg.top_k, self.vocab.len());
+        for (i, (_, pron)) in self.vocab.iter().enumerate() {
+            let b = pron.len();
+            let bar = top.bar();
+            let out = |d: usize| bar.is_some_and(|bar| normalised(d, a, b) >= bar);
+            if out(a.abs_diff(b)) {
+                continue;
+            }
+            if let Some(d) = rows.distance(chunk, pron, out) {
+                top.offer(i, normalised(d, a, b));
+            }
+        }
+        top.best
+    }
+}
+
+/// The best `k` `(vocab index, normalised edit distance)` candidates
+/// offered so far, in `(distance, index)` order. Words are offered in
+/// index order, so one that ties a held candidate ranks after it.
+struct TopK {
+    k: usize,
+    best: Vec<(usize, f64)>,
+}
+
+impl TopK {
+    /// An empty list keeping `k` (at least one) of `n` words.
+    fn new(k: usize, n: usize) -> TopK {
+        let k = k.max(1);
+        TopK { k, best: Vec::with_capacity(k.min(n)) }
     }
 
-    /// The `top_k` best `(vocab index, normalised edit distance)` scores,
-    /// in `(distance, index)` order.
-    fn top_k(&self, scores: impl Iterator<Item = (usize, f64)>) -> Vec<(usize, f64)> {
-        let mut scored: Vec<(usize, f64)> = scores.collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        scored.truncate(self.cfg.top_k.max(1));
-        scored
+    /// The k-th best distance once `k` candidates are held: a word must
+    /// score below it to enter.
+    fn bar(&self) -> Option<f64> {
+        (self.best.len() == self.k).then(|| self.best[self.k - 1].1)
+    }
+
+    /// Offers word `i`, which comes after every word offered before it.
+    fn offer(&mut self, i: usize, d: f64) {
+        if let Some(bar) = self.bar() {
+            if d >= bar {
+                return;
+            }
+            self.best.pop();
+        }
+        let at = self.best.partition_point(|&(_, held)| held <= d);
+        self.best.insert(at, (i, d));
+    }
+}
+
+/// The two Levenshtein DP rows of one decode call, reused for every word.
+#[derive(Debug, Default)]
+struct EditRows {
+    prev: Vec<usize>,
+    cur: Vec<usize>,
+}
+
+impl EditRows {
+    /// The edit distance between `a` and `b`, or `None` as soon as
+    /// `abandon` holds for the minimum of a DP row, a lower bound on it.
+    fn distance(
+        &mut self,
+        a: &[Phoneme],
+        b: &[Phoneme],
+        abandon: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        self.prev.clear();
+        self.prev.extend(0..=b.len());
+        self.cur.resize(b.len() + 1, 0);
+        for (i, &pa) in a.iter().enumerate() {
+            let min = edit_row(i, pa, b, &self.prev, &mut self.cur);
+            if abandon(min) {
+                return None;
+            }
+            std::mem::swap(&mut self.prev, &mut self.cur);
+        }
+        Some(self.prev[b.len()])
     }
 }
 
@@ -305,30 +388,22 @@ impl PrefixDecode {
 
 /// Levenshtein distance between two phoneme sequences.
 pub fn phoneme_edit_distance(a: &[Phoneme], b: &[Phoneme]) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &pa) in a.iter().enumerate() {
-        edit_row(i, pa, b, &prev, &mut cur);
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
+    EditRows::default().distance(a, b, |_| false).unwrap_or(usize::MAX)
 }
 
 /// One row of the Levenshtein DP: from `prev`, the distances of a
 /// sequence's first `i` phonemes to every prefix of `b`, fills `cur` with
-/// those of its first `i + 1`, whose last is `pa`.
-fn edit_row(i: usize, pa: Phoneme, b: &[Phoneme], prev: &[usize], cur: &mut [usize]) {
+/// those of its first `i + 1`, whose last is `pa`. Returns the row's
+/// minimum.
+fn edit_row(i: usize, pa: Phoneme, b: &[Phoneme], prev: &[usize], cur: &mut [usize]) -> usize {
     cur[0] = i + 1;
+    let mut min = cur[0];
     for (j, &pb) in b.iter().enumerate() {
         let sub = prev[j] + usize::from(pa != pb);
         cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        min = min.min(cur[j + 1]);
     }
+    min
 }
 
 #[cfg(test)]
@@ -555,6 +630,104 @@ mod tests {
             acc.reset();
             d.advance_prefix(&mut state, &acc);
             proptest::prop_assert_eq!(d.decode_prefix(&state), "");
+        }
+    }
+
+    /// The Levenshtein distance as the decoder computed it before
+    /// pruning: two fresh rows per word.
+    fn oracle_edit_distance(a: &[Phoneme], b: &[Phoneme]) -> usize {
+        let mut prev: Vec<usize> = (0..=b.len()).collect();
+        let mut cur = vec![0usize; b.len() + 1];
+        for (i, &pa) in a.iter().enumerate() {
+            cur[0] = i + 1;
+            for (j, &pb) in b.iter().enumerate() {
+                let sub = prev[j] + usize::from(pa != pb);
+                cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        prev[b.len()]
+    }
+
+    /// The word decode before pruning, kept as the oracle: every word's
+    /// full edit distance, one sort truncated to `top_k`, and transitions
+    /// scored through the LM by string.
+    fn oracle_decode_phonemes(d: &Decoder, seq: &[Phoneme]) -> String {
+        let (edit_weight, lm_weight) = (d.cfg.edit_weight, d.cfg.lm_weight);
+        let mut lattice = Lattice::default();
+        for chunk in seq.split(|&p| p == Phoneme::SIL).filter(|c| !c.is_empty()) {
+            let mut cands: Vec<(usize, f64)> = (d.vocab.iter().enumerate())
+                .map(|(i, (_, pron))| {
+                    (i, normalised(oracle_edit_distance(chunk, pron), chunk.len(), pron.len()))
+                })
+                .collect();
+            cands.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            cands.truncate(d.cfg.top_k.max(1));
+            let mut back = Vec::new();
+            let mut score = Vec::new();
+            for &(w, edit) in &cands {
+                let word = &d.vocab[w].0;
+                let Some(prev) = lattice.cols.last() else {
+                    score.push(edit_weight * edit - lm_weight * d.lm.log_prob(None, word));
+                    back.push(0);
+                    continue;
+                };
+                let (best_prev, best) = (prev.cands.iter().zip(&lattice.score).enumerate())
+                    .map(|(pi, (&(pw, _), &s))| {
+                        (pi, s - lm_weight * d.lm.log_prob(Some(&d.vocab[pw].0), word))
+                    })
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .unwrap_or((0, f64::INFINITY));
+                score.push(best + edit_weight * edit);
+                back.push(best_prev);
+            }
+            lattice.push(Column { cands, back }, score);
+        }
+        d.best_path(&lattice, None)
+    }
+
+    /// `n` frames of one-hot logits (±4) over a [`label_stream`], plus
+    /// seeded uniform noise of amplitude `noise` per logit: 0 decodes the
+    /// labels, 20 is close to random logits.
+    fn noisy_label_logits(seed: u64, noise: f64, n: usize) -> FeatureMatrix {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut m = FeatureMatrix::zeros(0, Phoneme::COUNT);
+        for label in label_stream(seed, 150, n) {
+            let row: Vec<f64> = (0..Phoneme::COUNT)
+                .map(|c| if c == label { 4.0 } else { -4.0 } + noise * rng.gen_range(-1.0..1.0))
+                .collect();
+            m.push_row(&row);
+        }
+        m
+    }
+
+    proptest::proptest! {
+        /// The pruned, bounded top-k decode with LM scores by token equals
+        /// the full-sort oracle byte for byte, on clean, noisy and random
+        /// logits, for every `min_run`, a `top_k` of 1, 5 and more than
+        /// the vocabulary, and a silenced or NaN language model.
+        #[test]
+        fn pruned_decode_matches_full_sort_oracle(
+            seed in 0u64..1_000_000,
+            noise in proptest::sample::select(vec![0.0f64, 3.0, 20.0]),
+            min_run in 1usize..5,
+            top_k in proptest::sample::select(vec![1usize, 5, usize::MAX]),
+            lm_weight in proptest::sample::select(vec![1.0f64, 0.0, f64::NAN]),
+            n in 20usize..90,
+        ) {
+            let d = Decoder::new(
+                &Lexicon::builtin(),
+                decoder().lm().clone(),
+                DecoderConfig { min_run, top_k, lm_weight, ..DecoderConfig::default() },
+            );
+            let logits = noisy_label_logits(seed, noise, n);
+            let seq = greedy_phonemes(&logits, min_run);
+            let oracle = oracle_decode_phonemes(&d, &seq);
+            proptest::prop_assert_eq!(d.decode(&logits), oracle.clone());
+            proptest::prop_assert_eq!(d.decode_phonemes(&seq), oracle);
         }
     }
 

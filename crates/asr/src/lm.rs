@@ -12,11 +12,26 @@ use mvp_artifact::{ArtifactError, ArtifactKind, Decoder, Encoder, Persist};
 /// Sentence-start pseudo-token id.
 const BOS: usize = 0;
 
+/// A word as one [`BigramLm`] resolves it ([`BigramLm::token`]): the
+/// sentence start, a word seen in training, or an unknown word. A decoder
+/// resolves its vocabulary once and then scores transitions by token
+/// ([`BigramLm::log_prob_token`]), with no string lowercasing or hashing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Token(Option<usize>);
+
+impl Token {
+    /// The sentence start.
+    pub(crate) const BOS: Token = Token(Some(BOS));
+}
+
 /// A word-level bigram model.
 #[derive(Debug, Clone)]
 pub struct BigramLm {
     ids: HashMap<String, usize>,
     unigram: Vec<f64>,
+    /// `unigram` summed in index order, the denominator's base after an
+    /// unknown word.
+    total: f64,
     bigram: HashMap<(usize, usize), f64>,
     k: f64,
 }
@@ -47,7 +62,17 @@ impl BigramLm {
                 prev = id;
             }
         }
-        BigramLm { ids, unigram, bigram, k }
+        BigramLm::from_parts(ids, unigram, bigram, k)
+    }
+
+    fn from_parts(
+        ids: HashMap<String, usize>,
+        unigram: Vec<f64>,
+        bigram: HashMap<(usize, usize), f64>,
+        k: f64,
+    ) -> BigramLm {
+        let total = unigram.iter().sum();
+        BigramLm { ids, unigram, total, bigram, k }
     }
 
     /// Vocabulary size (distinct words seen in training).
@@ -55,34 +80,34 @@ impl BigramLm {
         self.ids.len()
     }
 
-    fn id(&self, word: &str) -> Option<usize> {
-        self.ids.get(&word.to_lowercase()).copied()
+    /// The token of `word` (case-insensitive) in this model.
+    pub(crate) fn token(&self, word: &str) -> Token {
+        Token(self.ids.get(&word.to_lowercase()).copied())
     }
 
     /// Smoothed log `P(word | prev)`; `prev = None` means sentence start.
     ///
     /// Unknown words receive the smoothed floor probability.
     pub fn log_prob(&self, prev: Option<&str>, word: &str) -> f64 {
+        let prev = prev.map_or(Token::BOS, |p| self.token(p));
+        self.log_prob_token(prev, self.token(word))
+    }
+
+    /// [`log_prob`](Self::log_prob) of tokens this model resolved:
+    /// `log_prob(prev, word)` is `log_prob_token` of their tokens, with
+    /// [`Token::BOS`] for `prev = None`, bit for bit.
+    pub(crate) fn log_prob_token(&self, prev: Token, word: Token) -> f64 {
         let v = self.ids.len() as f64 + 2.0; // + BOS + UNK
-        let prev_id = match prev {
-            None => Some(BOS),
-            Some(p) => self.id(p),
-        };
-        let word_id = self.id(word);
-        let (num, den) = match (prev_id, word_id) {
+        let (num, den) = match (prev.0, word.0) {
             (Some(p), Some(w)) => (
                 self.bigram.get(&(p, w)).copied().unwrap_or(0.0) + self.k,
                 self.unigram[p] + self.k * v,
             ),
             (Some(p), None) => (self.k, self.unigram[p] + self.k * v),
-            (None, Some(w)) => (self.unigram[w] + self.k, self.total() + self.k * v),
-            (None, None) => (self.k, self.total() + self.k * v),
+            (None, Some(w)) => (self.unigram[w] + self.k, self.total + self.k * v),
+            (None, None) => (self.k, self.total + self.k * v),
         };
         (num / den).ln()
-    }
-
-    fn total(&self) -> f64 {
-        self.unigram.iter().sum()
     }
 
     /// Log-probability of a word sequence (BOS-anchored product of bigrams).
@@ -155,7 +180,7 @@ impl Persist for BigramLm {
             }
             bigram.insert((prev, next), count);
         }
-        Ok(BigramLm { ids, unigram, bigram, k })
+        Ok(BigramLm::from_parts(ids, unigram, bigram, k))
     }
 }
 
@@ -228,6 +253,40 @@ mod tests {
             [(None, "the"), (Some("the"), "man"), (Some("found"), "sea"), (Some("x"), "zyzzyva")]
         {
             assert_eq!(back.log_prob(prev, word).to_bits(), lm.log_prob(prev, word).to_bits());
+        }
+    }
+
+    /// `log_prob` as it was before tokens: both words lowercased and
+    /// hashed per call, the unigram total summed per call.
+    fn oracle_log_prob(lm: &BigramLm, prev: Option<&str>, word: &str) -> f64 {
+        let id = |w: &str| lm.ids.get(&w.to_lowercase()).copied();
+        let v = lm.ids.len() as f64 + 2.0;
+        let total: f64 = lm.unigram.iter().sum();
+        let (num, den) = match (prev.map_or(Some(BOS), id), id(word)) {
+            (Some(p), Some(w)) => {
+                (lm.bigram.get(&(p, w)).copied().unwrap_or(0.0) + lm.k, lm.unigram[p] + lm.k * v)
+            }
+            (Some(p), None) => (lm.k, lm.unigram[p] + lm.k * v),
+            (None, Some(w)) => (lm.unigram[w] + lm.k, total + lm.k * v),
+            (None, None) => (lm.k, total + lm.k * v),
+        };
+        (num / den).ln()
+    }
+
+    #[test]
+    fn token_path_equals_string_path_bit_for_bit() {
+        let lm = toy();
+        let mut words: Vec<&str> = lm.ids.keys().map(String::as_str).collect();
+        words.sort();
+        words.extend(["zyzzyva", "The"]);
+        let prevs = words.iter().map(|&w| (Some(w), lm.token(w)));
+        for (prev, prev_token) in prevs.chain([(None, Token::BOS)]) {
+            for &word in &words {
+                let oracle = oracle_log_prob(&lm, prev, word).to_bits();
+                let by_token = lm.log_prob_token(prev_token, lm.token(word));
+                assert_eq!(by_token.to_bits(), oracle, "{prev:?} -> {word}");
+                assert_eq!(lm.log_prob(prev, word).to_bits(), oracle, "{prev:?} -> {word}");
+            }
         }
     }
 
