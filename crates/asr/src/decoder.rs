@@ -287,7 +287,7 @@ impl TopK {
 }
 
 /// The two Levenshtein DP rows of one decode call, reused for every word.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct EditRows {
     prev: Vec<usize>,
     cur: Vec<usize>,
@@ -388,7 +388,7 @@ impl PrefixDecode {
 
 /// Levenshtein distance between two phoneme sequences.
 pub fn phoneme_edit_distance(a: &[Phoneme], b: &[Phoneme]) -> usize {
-    EditRows::default().distance(a, b, |_| false).unwrap_or(usize::MAX)
+    EditRows::default().distance(a, b, |_| false).expect("a DP that never abandons ends")
 }
 
 /// One row of the Levenshtein DP: from `prev`, the distances of a

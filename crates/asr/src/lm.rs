@@ -15,7 +15,8 @@ const BOS: usize = 0;
 /// A word as one [`BigramLm`] resolves it ([`BigramLm::token`]): the
 /// sentence start, a word seen in training, or an unknown word. A decoder
 /// resolves its vocabulary once and then scores transitions by token
-/// ([`BigramLm::log_prob_token`]), with no string lowercasing or hashing.
+/// ([`BigramLm::log_prob_token`]), with no per-call string lowercasing or
+/// string hashing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Token(Option<usize>);
 
@@ -29,8 +30,8 @@ impl Token {
 pub struct BigramLm {
     ids: HashMap<String, usize>,
     unigram: Vec<f64>,
-    /// `unigram` summed in index order, the denominator's base after an
-    /// unknown word.
+    /// `unigram` summed in index order: the denominator's base when the
+    /// previous word is unknown.
     total: f64,
     bigram: HashMap<(usize, usize), f64>,
     k: f64,
